@@ -1,19 +1,17 @@
 /**
  * @file
  * bench_engine — simulator-throughput benchmark for the simulation
- * engines. Runs representative cells under the polled reference loop,
- * the timing-wheel event engine and the adaptive auto engine, verifies
- * their metrics are bit-identical, and reports wall-clock speedup,
- * Minstr/s and the skipped-cycle fraction per cell. A 4-core mix
- * section additionally times the threaded engine (--sim-threads=4)
- * against the same mix single-threaded. Everything lands in
- * BENCH_engine.json — per-cell rows plus geomean/min aggregate rows
- * per engine column and the host CPU count, so the perf trajectory
- * (and the host it was measured on) is recorded over time.
+ * engines. Runs representative cells under the polled reference loop
+ * and the adaptive auto engine (the default), verifies their metrics
+ * are bit-identical, and reports wall-clock speedup, Minstr/s and the
+ * skipped-cycle fraction per cell. Everything lands in
+ * BENCH_engine.json — per-cell rows plus a geomean/min aggregate row
+ * and the host CPU count, so the perf trajectory (and the host it was
+ * measured on) is recorded over time.
  *
  * The headline case is the low-MLP pointer chase (canneal): one
  * dependent load in flight at a time leaves almost every cycle idle,
- * which the event engine skips in O(1). The dense stream (leslie3d)
+ * which auto's event stints skip in O(1). The dense stream (leslie3d)
  * is the honest lower bound — little to skip — and where the auto
  * engine must flip to polled dispatch to stay >= 1.0x.
  *
@@ -34,7 +32,7 @@
  *
  *   bench_engine            full comparison (honors GAZE_SIM_SCALE)
  *   bench_engine --quick    short cells; asserts throughput > 0 AND
- *                           cross-engine metric identity, dying
+ *                           polled == auto metric identity, dying
  *                           loudly on any mismatch (the check.sh /
  *                           CTest smoke)
  */
@@ -55,6 +53,7 @@
 #include "harness/export.hh"
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
+#include "harness/wallclock.hh"
 #include "workloads/suites.hh"
 
 namespace
@@ -62,12 +61,60 @@ namespace
 
 using namespace gaze;
 
+/**
+ * Host-speed reference: a fixed amount of simulator-like host work —
+ * an 8192-set, 16-way LRU tag scan (2 MB of tables, about one core's
+ * L2) over a seeded, three-quarters-sequential address stream, the
+ * kernel perfbench/calib.cc times for the repository benchmark. It
+ * shares no code with the simulator, so no simulator change can move
+ * it, while a shared host that drifts between speeds moves it with the
+ * cells. Returns the kernel's wall seconds.
+ */
+double
+calibSeconds()
+{
+    constexpr uint32_t kSets = 8192, kWays = 16;
+    constexpr long kIterations = 300000;
+    std::vector<uint64_t> tag(size_t(kSets) * kWays, ~uint64_t(0));
+    std::vector<uint64_t> stamp(size_t(kSets) * kWays, 0);
+    uint64_t x = 88172645463325252ull, now = 0, stride = 0;
+    WallTimer timer;
+    for (long i = 0; i < kIterations; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        uint64_t addr = (x & 3) ? (stride += 64) : (x & ((1ull << 26) - 1));
+        uint64_t line = addr >> 6;
+        uint64_t *tg = &tag[(line & (kSets - 1)) * kWays];
+        uint64_t *st = &stamp[(line & (kSets - 1)) * kWays];
+        uint32_t victim = 0;
+        bool hit = false;
+        for (uint32_t w = 0; w < kWays && !hit; ++w) {
+            hit = tg[w] == (line >> 13);
+            if (hit)
+                st[w] = ++now;
+            else if (st[w] < st[victim])
+                victim = w;
+        }
+        if (!hit) {
+            tg[victim] = line >> 13;
+            st[victim] = ++now;
+        }
+    }
+    double seconds = timer.seconds();
+    // Keep the tables observable so the loop cannot be elided.
+    GAZE_ASSERT(now > 0 && stamp[0] <= now, "calibration kernel elided");
+    return seconds;
+}
+
 /** One engine's timed view of a cell. */
 struct EngineRun
 {
     RunResult result;
     double bestSeconds = 0.0;
     double medianSeconds = 0.0;
+    /** Best calibSeconds() interleaved with this run's repeats. */
+    double calibSeconds = 0.0;
 
     double
     minstrPerSec(double seconds) const
@@ -79,37 +126,56 @@ struct EngineRun
 };
 
 RunConfig
-configFor(EngineKind engine, uint32_t simThreads = 1)
+configFor(EngineKind engine)
 {
     RunConfig cfg;
     cfg.system.engine = engine;
-    cfg.system.simThreads = simThreads;
     return cfg; // phase lengths come from GAZE_SIM_SCALE
 }
 
-/**
- * Run @p mix under @p cfg @p repeats times; keep the first run's
- * metrics (repeats are bit-identical), the fastest wall time, and the
- * median wall time (the headline vs the robustness check).
- */
-EngineRun
-timedRun(const RunConfig &cfg, const std::vector<WorkloadDef> &mix,
-         const PfSpec &pf, int repeats = 3)
+/** A cell timed under both engines: {polled, auto}. */
+struct CellRuns
 {
-    EngineRun er;
-    std::vector<double> seconds;
-    seconds.reserve(repeats);
+    EngineRun polled, autorun;
+};
+
+/**
+ * Run @p mix @p repeats times under each engine; keep the first run's
+ * metrics (repeats are bit-identical), the fastest wall time, and the
+ * median wall time (the headline vs the robustness check). Engines
+ * alternate within every round, so both sample the same host-speed
+ * phases, and a host calibration run precedes every run, so each
+ * engine's times and its host-speed reference share a window.
+ */
+CellRuns
+timedCell(const std::vector<WorkloadDef> &mix, const PfSpec &pf,
+          int repeats = 3)
+{
+    CellRuns cell;
+    std::pair<EngineRun *, EngineKind> engines[] = {
+        {&cell.polled, EngineKind::Polled},
+        {&cell.autorun, EngineKind::Auto}};
+    std::vector<double> seconds[2];
     for (int i = 0; i < repeats; ++i) {
-        Runner runner(cfg);
-        RunResult r = runner.runMix(mix, pf);
-        seconds.push_back(r.wallSeconds);
-        if (i == 0)
-            er.result = std::move(r);
+        for (size_t e = 0; e < 2; ++e) {
+            EngineRun &er = *engines[e].first;
+            double calib = calibSeconds();
+            if (i == 0 || calib < er.calibSeconds)
+                er.calibSeconds = calib;
+            RunResult r =
+                Runner(configFor(engines[e].second)).runMix(mix, pf);
+            seconds[e].push_back(r.wallSeconds);
+            if (i == 0)
+                er.result = std::move(r);
+        }
     }
-    std::sort(seconds.begin(), seconds.end());
-    er.bestSeconds = seconds.front();
-    er.medianSeconds = seconds[seconds.size() / 2];
-    return er;
+    for (size_t e = 0; e < 2; ++e) {
+        std::sort(seconds[e].begin(), seconds[e].end());
+        engines[e].first->bestSeconds = seconds[e].front();
+        engines[e].first->medianSeconds =
+            seconds[e][seconds[e].size() / 2];
+    }
+    return cell;
 }
 
 /**
@@ -117,9 +183,9 @@ timedRun(const RunConfig &cfg, const std::vector<WorkloadDef> &mix,
  * "workload|prefetcher". The file is our own JsonWriter output, so a
  * targeted scan (no general JSON parser in the tree) is enough: for
  * each "workload"/"prefetcher" pair, take the first "minstr_per_sec"
- * inside the following "polled" block. Cells whose next block is not
- * "polled" (the mix rows) are skipped. Returns empty when no baseline
- * is readable — the before/after table is then simply omitted.
+ * inside the following "polled" block. Cells with no polled block
+ * before the next row are skipped. Returns empty when no baseline is
+ * readable — the before/after table is then simply omitted.
  */
 std::vector<std::pair<std::string, double>>
 loadPolledBaseline(std::string *pathUsed)
@@ -165,7 +231,7 @@ loadPolledBaseline(std::string *pathUsed)
         size_t nextCell = text.find("\"workload\":\"", pos);
         if (polled == std::string::npos
             || (nextCell != std::string::npos && polled > nextCell))
-            continue; // mix cell: no polled block before the next row
+            continue; // no polled block before the next row
         size_t v = text.find("\"minstr_per_sec\":", polled);
         if (v == std::string::npos)
             break;
@@ -187,7 +253,7 @@ loadPolledBaseline(std::string *pathUsed)
  */
 void
 checkIdentical(const RunResult &ref, const RunResult &got,
-               const std::string &cell, const char *engineLabel)
+               const std::string &cell)
 {
     RunSummary a = summarize(ref);
     RunSummary b = summarize(got);
@@ -205,32 +271,9 @@ checkIdentical(const RunResult &ref, const RunResult &got,
                    && ref.cores[c].cycles == got.cores[c].cycles;
     }
     if (!same)
-        GAZE_FATAL("engine mismatch on ", cell, ": ", engineLabel,
-                   " metrics differ from the polled/reference run — "
-                   "engines must be bit-identical");
-}
-
-void
-printAggregate(const char *label, const std::vector<double> &speedups)
-{
-    double lo = speedups.empty() ? 0.0 : speedups[0];
-    for (double s : speedups)
-        lo = std::min(lo, s);
-    std::printf("%-18s | geomean %.2fx | min %.2fx\n", label,
-                geomean(speedups), lo);
-}
-
-void
-jsonAggregate(JsonWriter &j, const char *key,
-              const std::vector<double> &speedups)
-{
-    double lo = speedups.empty() ? 0.0 : speedups[0];
-    for (double s : speedups)
-        lo = std::min(lo, s);
-    j.key(key).beginObject();
-    j.field("geomean_wall_speedup", geomean(speedups));
-    j.field("min_wall_speedup", lo);
-    j.endObject();
+        GAZE_FATAL("engine mismatch on ", cell,
+                   ": auto metrics differ from the polled reference "
+                   "run — engines must be bit-identical");
 }
 
 void
@@ -242,6 +285,7 @@ jsonEngineBlock(JsonWriter &j, const char *key, const EngineRun &er)
     j.field("minstr_per_sec", er.minstrPerSec(er.bestSeconds));
     j.field("seconds_median", er.medianSeconds);
     j.field("minstr_per_sec_median", er.minstrPerSec(er.medianSeconds));
+    j.field("calib_seconds", er.calibSeconds);
     j.field("cycles_total", r.engine.cyclesTotal);
     j.field("cycles_executed", r.engine.cyclesExecuted);
     j.field("cycles_skipped", r.engine.cyclesSkipped);
@@ -255,8 +299,8 @@ jsonEngineBlock(JsonWriter &j, const char *key, const EngineRun &er)
 int
 quickSmoke()
 {
-    // One short cell, event engine: throughput and idle-skip sanity.
-    Runner runner(configFor(EngineKind::Event));
+    // One short cell, default engine: throughput and idle-skip sanity.
+    Runner runner(configFor(EngineKind::Auto));
     RunResult r = runner.run(findWorkload("canneal"), PfSpec{});
     double minstr = r.minstrPerSec();
     std::printf("bench_engine quick: canneal x none | "
@@ -269,33 +313,21 @@ quickSmoke()
     GAZE_ASSERT(r.engine.cyclesSkipped > 0,
                 "a pointer chase must skip idle cycles");
 
-    // Cross-engine identity gate: every engine variant must reproduce
-    // the polled reference bit for bit, and checkIdentical dies with
-    // GAZE_FATAL if it ever does not. Single-core canneal x gaze
-    // covers polled/event/auto; a 2-core mix covers the threaded
-    // fork/join path against its single-threaded twin.
+    // Engine identity gate: auto must reproduce the polled reference
+    // bit for bit on a pointer chase (event stints throughout) and a
+    // dense stream (flipped to polled stints), and checkIdentical dies
+    // with GAZE_FATAL if it ever does not.
     PfSpec gazePf;
     gazePf.l1 = "gaze";
-    std::vector<WorkloadDef> one = {findWorkload("canneal")};
-    RunResult polled = Runner(configFor(EngineKind::Polled))
-                           .runMix(one, gazePf);
-    checkIdentical(polled,
-                   Runner(configFor(EngineKind::Event))
-                       .runMix(one, gazePf),
-                   "canneal x gaze", "event");
-    checkIdentical(polled,
-                   Runner(configFor(EngineKind::Auto))
-                       .runMix(one, gazePf),
-                   "canneal x gaze", "auto");
-    std::vector<WorkloadDef> two = {findWorkload("canneal"),
-                                    findWorkload("mcf")};
-    checkIdentical(Runner(configFor(EngineKind::Event, 1))
-                       .runMix(two, gazePf),
-                   Runner(configFor(EngineKind::Event, 2))
-                       .runMix(two, gazePf),
-                   "canneal+mcf x gaze", "threaded(2)");
+    for (const char *wname : {"canneal", "leslie3d"}) {
+        std::vector<WorkloadDef> one = {findWorkload(wname)};
+        checkIdentical(
+            Runner(configFor(EngineKind::Polled)).runMix(one, gazePf),
+            Runner(configFor(EngineKind::Auto)).runMix(one, gazePf),
+            std::string(wname) + " x gaze");
+    }
     std::printf("bench_engine quick: metrics identical across "
-                "polled/event/auto and --sim-threads=2\n");
+                "polled/auto\n");
     return 0;
 }
 
@@ -317,14 +349,10 @@ main(int argc, char **argv)
     if (quick)
         return quickSmoke();
 
-    bench::banner("bench_engine",
-                  "polled vs event vs auto vs threaded engine "
-                  "throughput");
+    bench::banner("bench_engine", "polled vs auto engine throughput");
 
     unsigned hostCpus = std::thread::hardware_concurrency();
-    std::printf("host CPUs: %u (threaded wall-clock numbers need at "
-                "least as many cores as --sim-threads)\n\n",
-                hostCpus);
+    std::printf("host CPUs: %u\n\n", hostCpus);
 
     // Low-MLP pointer chases (big idle-skip win), a dense stream
     // (little to skip: the honest lower bound and the auto engine's
@@ -334,44 +362,32 @@ main(int argc, char **argv)
                                                 "leslie3d", "BFS-17"};
     const std::vector<std::string> prefetchers = {"none", "gaze"};
 
-    struct SingleCell
+    struct SingleCell : CellRuns
     {
         std::string workload;
         std::string prefetcher;
-        EngineRun polled, event, autorun;
     };
     std::vector<SingleCell> cells;
-    std::vector<double> eventSpeedups, autoSpeedups;
+    std::vector<double> autoSpeedups;
     for (const auto &wname : workloads) {
         std::vector<WorkloadDef> mix = {findWorkload(wname)};
         for (const auto &pname : prefetchers) {
             PfSpec pf;
             if (pname != "none")
                 pf.l1 = pname;
-            SingleCell c;
-            c.workload = wname;
-            c.prefetcher = pname;
-            c.polled = timedRun(configFor(EngineKind::Polled), mix, pf);
-            c.event = timedRun(configFor(EngineKind::Event), mix, pf);
-            c.autorun = timedRun(configFor(EngineKind::Auto), mix, pf);
-            std::string cell = wname + " x " + pname;
-            checkIdentical(c.polled.result, c.event.result, cell,
-                           "event");
-            checkIdentical(c.polled.result, c.autorun.result, cell,
-                           "auto");
-            double se = c.polled.bestSeconds / c.event.bestSeconds;
+            SingleCell c{timedCell(mix, pf), wname, pname};
+            checkIdentical(c.polled.result, c.autorun.result,
+                           wname + " x " + pname);
             double sa = c.polled.bestSeconds / c.autorun.bestSeconds;
-            eventSpeedups.push_back(se);
             autoSpeedups.push_back(sa);
             std::printf(
-                "%-10s x %-6s | polled %6.3fs | event %6.3fs "
-                "(%4.2fx) | auto %6.3fs (%4.2fx, %llu flips) | "
-                "%4.1f%% skipped\n",
+                "%-10s x %-6s | polled %6.3fs | auto %6.3fs (%4.2fx, "
+                "%llu flips) | %4.1f%% skipped\n",
                 wname.c_str(), pname.c_str(), c.polled.bestSeconds,
-                c.event.bestSeconds, se, c.autorun.bestSeconds, sa,
+                c.autorun.bestSeconds, sa,
                 static_cast<unsigned long long>(
                     c.autorun.result.engine.engineFlips),
-                100.0 * c.event.result.engine.skipFraction());
+                100.0 * c.autorun.result.engine.skipFraction());
             cells.push_back(std::move(c));
         }
     }
@@ -409,47 +425,12 @@ main(int argc, char **argv)
                         geomean(ratios));
     }
 
-    // 4-core mixes: the threaded engine (--sim-threads=4) against the
-    // same mix on one thread. Cores interact only through the shared
-    // LLC/DRAM; identity is asserted, not assumed.
-    const uint32_t kMixThreads = 4;
-    std::vector<WorkloadDef> mix4 = {
-        findWorkload("canneal"), findWorkload("mcf"),
-        findWorkload("canneal"), findWorkload("mcf")};
-    struct MixCell
-    {
-        std::string prefetcher;
-        EngineRun one, threaded;
-    };
-    std::vector<MixCell> mixCells;
-    std::vector<double> threadedSpeedups;
-    std::printf("\n4-core mix canneal+mcf+canneal+mcf, event engine:\n");
-    for (const auto &pname : prefetchers) {
-        PfSpec pf;
-        if (pname != "none")
-            pf.l1 = pname;
-        MixCell m;
-        m.prefetcher = pname;
-        m.one = timedRun(configFor(EngineKind::Event, 1), mix4, pf);
-        m.threaded =
-            timedRun(configFor(EngineKind::Event, kMixThreads), mix4,
-                     pf);
-        checkIdentical(m.one.result, m.threaded.result,
-                       "mix4 x " + pname, "threaded(4)");
-        double st = m.one.bestSeconds / m.threaded.bestSeconds;
-        threadedSpeedups.push_back(st);
-        std::printf("  mix4 x %-6s | 1 thread %6.3fs | 4 threads "
-                    "%6.3fs | speedup %.2fx\n",
-                    pname.c_str(), m.one.bestSeconds,
-                    m.threaded.bestSeconds, st);
-        mixCells.push_back(std::move(m));
-    }
-
-    std::printf("\nwall-clock speedups (metrics bit-identical on "
-                "every cell):\n");
-    printAggregate("event vs polled", eventSpeedups);
-    printAggregate("auto vs polled", autoSpeedups);
-    printAggregate("4 threads vs 1", threadedSpeedups);
+    double minAuto = *std::min_element(autoSpeedups.begin(),
+                                       autoSpeedups.end());
+    std::printf("\nauto vs polled wall-clock speedup (metrics "
+                "bit-identical on every cell): geomean %.2fx | min "
+                "%.2fx\n",
+                geomean(autoSpeedups), minAuto);
 
     JsonWriter j;
     j.beginObject();
@@ -464,37 +445,19 @@ main(int argc, char **argv)
         j.field("workload", c.workload);
         j.field("prefetcher", c.prefetcher);
         jsonEngineBlock(j, "polled", c.polled);
-        jsonEngineBlock(j, "event", c.event);
         jsonEngineBlock(j, "auto", c.autorun);
         j.field("wall_speedup",
-                c.polled.bestSeconds / c.event.bestSeconds);
-        j.field("wall_speedup_auto",
                 c.polled.bestSeconds / c.autorun.bestSeconds);
         j.field("metrics_identical", true); // asserted fatally above
         j.endObject();
     }
     j.endArray();
-    j.key("mix_cells").beginArray();
-    for (const auto &m : mixCells) {
-        j.beginObject();
-        j.field("workload", "canneal+mcf+canneal+mcf");
-        j.field("prefetcher", m.prefetcher);
-        j.field("cores", uint64_t(mix4.size()));
-        j.field("sim_threads", uint64_t(kMixThreads));
-        jsonEngineBlock(j, "one_thread", m.one);
-        jsonEngineBlock(j, "threaded", m.threaded);
-        j.field("wall_speedup",
-                m.one.bestSeconds / m.threaded.bestSeconds);
-        j.field("metrics_identical", true); // asserted fatally above
-        j.endObject();
-    }
-    j.endArray();
     j.key("aggregates").beginObject();
-    jsonAggregate(j, "event", eventSpeedups);
-    jsonAggregate(j, "auto", autoSpeedups);
-    jsonAggregate(j, "threaded_4core", threadedSpeedups);
+    j.key("auto").beginObject();
+    j.field("geomean_wall_speedup", geomean(autoSpeedups));
+    j.field("min_wall_speedup", minAuto);
     j.endObject();
-    j.field("geomean_wall_speedup", geomean(eventSpeedups));
+    j.endObject();
     j.endObject();
 
     JsonExport doc("engine", j.str());

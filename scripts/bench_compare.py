@@ -3,17 +3,24 @@
 
 Compares a freshly generated BENCH_engine.json against the committed
 baseline and fails (exit 1) when the geomean of the per-(cell, engine)
-minstr_per_sec ratios drops by more than --threshold (default 10%).
+throughput ratios drops by more than --threshold (default 10%).
+
+Throughput is minstr_per_sec scaled by the engine block's
+calib_seconds: bench_engine times a fixed host kernel next to every
+run, and a shared host that runs up to 2x slower from one minute to
+the next slows both alike.
+
 Engine-throughput numbers are only comparable between like hosts and
 like workload sizes, so the gate SKIPS with a notice (exit 0) when:
 
   * host_cpus differs between the two files (different machine class),
   * scale / warmup / sim instruction counts differ (different work),
-  * the files share no cells (renamed workload matrix).
+  * the files share no calibrated cells (renamed workload matrix, or a
+    file recorded before calibration).
 
 Per-cell wall noise is expected — single cells finish in tens of
 milliseconds — which is why the gate is on the geomean across all
-cells x {polled, event, auto}, not on any single cell. Cells slower
+cells x {polled, auto}, not on any single cell. Cells slower
 than the threshold are still listed, marked, for the human reading
 the log.
 
@@ -37,16 +44,17 @@ def load(path):
 
 
 def cell_throughputs(doc):
-    """(workload, prefetcher, engine) -> minstr_per_sec for the
-    single-core cells. Mix cells are excluded: their wall time is
-    dominated by host thread scheduling, not simulator work."""
+    """(workload, prefetcher, engine) -> calibrated throughput:
+    minstr_per_sec x calib_seconds, Minstr per host-kernel run."""
     out = {}
     for cell in doc.get("cells", []):
-        for engine in ("polled", "event", "auto"):
-            block = cell.get(engine)
-            if block and block.get("minstr_per_sec", 0) > 0:
+        for engine in ("polled", "auto"):
+            block = cell.get(engine) or {}
+            rate = block.get("minstr_per_sec", 0)
+            calib = block.get("calib_seconds", 0)
+            if rate > 0 and calib > 0:
                 out[(cell["workload"], cell["prefetcher"], engine)] = \
-                    block["minstr_per_sec"]
+                    rate * calib
     return out
 
 
@@ -77,12 +85,13 @@ def main(argv=None):
     f = cell_throughputs(fresh)
     common = sorted(set(b) & set(f))
     if not common:
-        print("bench_compare: SKIPPED — no common cells between %s "
-              "and %s" % (args.baseline, args.fresh))
+        print("bench_compare: SKIPPED — no common calibrated cells "
+              "between %s and %s" % (args.baseline, args.fresh))
         return 0
 
     floor = 1.0 - args.threshold
     ratios = []
+    # before/after: calibrated throughput, Minstr per kernel run.
     print("%-12s %-8s %-7s | %9s %9s %7s" %
           ("workload", "pf", "engine", "before", "after", "ratio"))
     for key in common:
@@ -90,14 +99,14 @@ def main(argv=None):
         ratios.append(ratio)
         flag = "  << below %.0f%% floor" % (floor * 100) \
             if ratio < floor else ""
-        print("%-12s %-8s %-7s | %9.3f %9.3f %6.2fx%s" %
+        print("%-12s %-8s %-7s | %9.5f %9.5f %6.2fx%s" %
               (key + (b[key], f[key], ratio, flag)))
 
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     print("geomean over %d (cell, engine) pairs: %.3fx "
           "(gate: >= %.2fx)" % (len(ratios), geomean, floor))
     if geomean < floor:
-        print("bench_compare: FAIL — geomean Minstr/s dropped %.1f%% "
+        print("bench_compare: FAIL — calibrated geomean dropped %.1f%% "
               "(> %.0f%% tolerated)" %
               ((1.0 - geomean) * 100, args.threshold * 100),
               file=sys.stderr)

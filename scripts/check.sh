@@ -167,12 +167,11 @@ GAZE_SIM_SCALE=0.02 sh ../scripts/serve_smoke.sh \
     ./src/gaze_serve ./src/gaze_campaign check_serve \
     ../scripts/validate_obs.py
 
-# Engine throughput smoke: one short event-engine cell must simulate
+# Engine throughput smoke: one short auto-engine cell must simulate
 # at a positive Minstr/s (asserted inside the binary, printed here so
 # the gate records the number) and skip idle cycles, and the quick
-# mode's cross-engine identity gate (polled == event == auto ==
-# threaded) dies fatally on any mismatch. No pipeline: the binary's
-# exit status must reach set -e.
+# mode's engine identity gate (polled == auto) dies fatally on any
+# mismatch. No pipeline: the binary's exit status must reach set -e.
 GAZE_SIM_SCALE=0.02 ./bench/bench_engine --quick > engine_smoke.txt
 cat engine_smoke.txt
 grep -q "Minstr/s" engine_smoke.txt
@@ -185,18 +184,14 @@ grep -q "metrics identical" engine_smoke.txt
 grep -q "MshrTable find (hit)" micro_smoke.txt
 grep -q "LruTable insert" micro_smoke.txt
 
-# Adaptive + threaded engine smoke through the real CLI: the auto
-# engine must run a matrix end to end, and a 4-core mix must run on
-# a 4-thread slice team (bit-identity is the differential suite's
-# job; this proves the flags work from the binary).
+# Reference engine smoke through the real CLI: --engine=polled must
+# run a matrix end to end (bit-identity with the default auto engine
+# is the differential suite's job; this proves the flag works from
+# the binary).
 GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
     --prefetchers=ip_stride --workloads=canneal,leslie3d \
-    --engine=auto --warmup=2000 --sim=8000 --engine-stats \
-    --out=engine_auto_smoke.json
-GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
-    --prefetchers=ip_stride --workloads=mcf \
-    --cores=4 --sim-threads=4 --warmup=1000 --sim=4000 \
-    --out=engine_threaded_smoke.json
+    --engine=polled --warmup=2000 --sim=8000 --engine-stats \
+    --out=engine_polled_smoke.json
 
 # Observability smoke: one matrix with the tracer and sampler on must
 # leave a valid Chrome-trace JSON (validate_obs.py pins the span

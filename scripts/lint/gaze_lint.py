@@ -14,10 +14,10 @@ and fails the build when a change breaks one statically:
                          metrics, tables) — iteration order would leak
   pointer-order          ordering or hashing raw pointer values —
                          allocator-dependent, differs run to run
-  raw-thread             std::thread/std::jthread outside the two
-                         sanctioned shims (driver/thread_pool.hh and
-                         sim/threaded.{hh,cc}) — ad-hoc threads are
-                         where nondeterminism and leaked joins start
+  raw-thread             std::thread/std::jthread outside the one
+                         sanctioned shim (driver/thread_pool.hh) —
+                         ad-hoc threads are where nondeterminism and
+                         leaked joins start
   hot-container          std::unordered_map/std::map/std::list inside
                          src/sim/ or src/prefetchers/ — node-based or
                          rehashing containers on the per-access hot
@@ -233,10 +233,9 @@ def rule_pointer_order(sf):
         "stable id instead")
 
 
-# The sanctioned homes for raw threads: the task pool that runs
-# matrix/campaign cells, and the slice team behind --sim-threads.
-RAW_THREAD_SHIMS = re.compile(
-    r"(driver/thread_pool\.(hh|cc)|sim/threaded\.(hh|cc))$")
+# The sanctioned home for raw threads: the task pool that runs
+# matrix/campaign cells.
+RAW_THREAD_SHIMS = re.compile(r"driver/thread_pool\.(hh|cc)$")
 
 RAW_THREAD_RE = re.compile(r"\bstd::(thread|jthread)\b")
 
@@ -246,10 +245,9 @@ def rule_raw_thread(sf):
         return
     yield from grep_rule(
         sf, "raw-thread", [RAW_THREAD_RE],
-        "'%s' uses a raw thread outside the sanctioned shims; go "
-        "through driver/thread_pool.hh (task parallelism) or "
-        "sim/threaded.hh (the cycle-lockstep slice team) so joins, "
-        "exception capture and determinism stay centralized")
+        "'%s' uses a raw thread outside the sanctioned shim; go "
+        "through driver/thread_pool.hh so joins, exception capture "
+        "and determinism stay centralized")
 
 
 # The per-access hot path: every simulated memory reference walks
@@ -455,7 +453,7 @@ PER_FILE_RULES = [
     ("pointer-order", rule_pointer_order,
      "ordering or hashing raw pointer values"),
     ("raw-thread", rule_raw_thread,
-     "std::thread outside thread_pool.hh / sim/threaded.*"),
+     "std::thread outside driver/thread_pool.hh"),
     ("hot-container", rule_hot_container,
      "node-based/rehashing std container in sim/ or prefetchers/"),
     ("using-namespace-header", rule_using_namespace_header,

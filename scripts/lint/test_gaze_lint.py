@@ -49,6 +49,11 @@ class ViolationFixtures(unittest.TestCase):
         self.assert_found("src/sim/rogue_thread.cc", 7, "raw-thread")
         self.assert_found("src/sim/rogue_thread.cc", 9, "raw-thread")
 
+    def test_raw_thread_worker_team_in_sim(self):
+        # The allow-list names driver/thread_pool.hh alone: a worker
+        # team inside the simulator is a finding.
+        self.assert_found("src/sim/threaded.cc", 8, "raw-thread")
+
     def test_raw_thread_shims_are_allow_listed(self):
         # The fixture thread_pool.hh holds std::thread members but is
         # a sanctioned shim path: the rule must stay silent there.
@@ -132,6 +137,7 @@ class ViolationFixtures(unittest.TestCase):
             ("src/sim/pointer_key.hh", 16, "pointer-order"),
             ("src/sim/rogue_thread.cc", 7, "raw-thread"),
             ("src/sim/rogue_thread.cc", 9, "raw-thread"),
+            ("src/sim/threaded.cc", 8, "raw-thread"),
             ("src/sim/hot_map.cc", 6, "hot-container"),
             ("src/sim/hot_map.cc", 7, "hot-container"),
             ("src/prefetchers/hot_list.cc", 5, "hot-container"),

@@ -9,12 +9,15 @@
 #   1. the daemon starts, a submit streams to a report, and that
 #      report is byte-identical to the offline `gaze_campaign run` +
 #      `report` pipeline for the same spec (the determinism contract),
-#   2. resubmitting the same spec enqueues zero cells (pure cache
+#   2. a request line over the daemon's 1 MiB cap is refused with a
+#      rejected event and its connection closed, and the daemon keeps
+#      serving,
+#   3. resubmitting the same spec enqueues zero cells (pure cache
 #      answer) and yields the same bytes again,
-#   3. `gaze_serve status` answers one status JSON line, and
+#   4. `gaze_serve status` answers one status JSON line, and
 #      `gaze_campaign status --json` against the daemon's cache agrees
 #      nothing is missing,
-#   4. SIGTERM drains cleanly: the daemon exits 0 and reports what it
+#   5. SIGTERM drains cleanly: the daemon exits 0 and reports what it
 #      served; its obs trace (queue-wait/execute spans) validates.
 set -eu
 
@@ -83,6 +86,24 @@ cmp daemon_report.json offline_report.json
 cmp daemon.csv offline.csv
 echo "OK: daemon report byte-identical to gaze_campaign run + report"
 
+echo "== oversized request line (refused, daemon keeps serving)"
+# A ~1.1 MB spec name makes the one-line submit request longer than
+# the daemon's request-line cap. The daemon must answer with a
+# rejected event and close that connection (client exit 3) without
+# reading the rest of the line.
+printf '{"name":"' > big_spec.json
+head -c 1100000 /dev/zero | tr '\0' x >> big_spec.json
+printf '","workloads":["mcf"]}\n' >> big_spec.json
+rc=0
+"$SERVE" submit --socket=./serve.sock --spec=big_spec.json \
+    --out=big_report.json 2> big_submit.txt || rc=$?
+cat big_submit.txt
+test "$rc" -eq 3 || { echo "oversized submit exited $rc, want 3"; exit 1; }
+grep -q "request line exceeds" big_submit.txt
+test ! -e big_report.json
+kill -0 "$DPID"
+echo "OK: oversized line rejected, connection closed, daemon alive"
+
 echo "== resubmit (must enqueue nothing)"
 "$SERVE" submit --socket=./serve.sock --spec=spec.json \
     --out=daemon_report2.json 2> submit2.txt
@@ -96,6 +117,7 @@ echo "== status, both producers"
 cat status.json
 grep -q '"event":"status"' status.json
 grep -q '"submits":2' status.json
+grep -q '"rejected":1' status.json
 "$CAMPAIGN" status --spec=spec.json --cache-dir=cache --json \
     > campaign_status.json
 cat campaign_status.json

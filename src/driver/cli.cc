@@ -29,16 +29,12 @@ const char *gazeSimUsageText =
     "  --level=l1|l2          prefetcher attach level (default: l1)\n"
     "  --cores=N              homogeneous cores per cell (default: 1)\n"
     "  --threads=N            worker threads (default: hardware)\n"
-    "  --engine=event|polled|auto\n"
-    "                         simulation engine (default: event, the\n"
-    "                         idle-cycle-skipping scheduler; polled is\n"
-    "                         the metrics-identical reference loop;\n"
-    "                         auto flips between them per workload\n"
-    "                         phase, still metrics-identical)\n"
-    "  --sim-threads=N        threads per simulated System; with\n"
-    "                         multi-core cells (--cores>1) the cores\n"
-    "                         run on a worker team, bit-identical to\n"
-    "                         --sim-threads=1 (default: 1)\n"
+    "  --engine=polled|auto (default: auto)\n"
+    "                         simulation engine: auto skips idle\n"
+    "                         cycles through the event queue and\n"
+    "                         ticks every cycle in dense phases;\n"
+    "                         polled is the metrics-identical\n"
+    "                         reference loop\n"
     "  --engine-stats         print per-cell simulation speed\n"
     "                         (Minstr/s, skipped cycles, events, late\n"
     "                         prefetches) after the matrix; the JSON\n"
@@ -323,9 +319,6 @@ parseGazeSimArgs(const std::vector<std::string> &args)
                 static_cast<uint32_t>(parseCount(key, val, 4096));
         } else if (key == "--engine") {
             opt.spec.run.system.engine = parseEngineKind(val);
-        } else if (key == "--sim-threads") {
-            opt.spec.run.system.simThreads =
-                static_cast<uint32_t>(parseCount(key, val, 64));
         } else if (key == "--engine-stats") {
             opt.engineStats = true;
         } else if (key == "--obs-timeline") {

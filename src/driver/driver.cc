@@ -286,7 +286,6 @@ matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
     j.field("level", spec.level);
     j.field("threads", uint64_t(result.threadsUsed));
     j.field("engine", result.engine);
-    j.field("sim_threads", uint64_t(spec.run.system.simThreads));
     // Wall-clock throughput fields are only comparable between runs
     // on a like host; record the machine class alongside them.
     // gaze-lint: allow(raw-thread): hardware_concurrency() query

@@ -55,14 +55,21 @@ class Connection
     Connection(const Connection &) = delete;
     Connection &operator=(const Connection &) = delete;
 
+    /**
+     * Send one framed line. A daemon that hangs up mid-line is not
+     * fatal here: it refuses an over-long line that way, and its
+     * rejected event is still waiting to be read.
+     */
     void
     sendLine(const std::string &line)
     {
         std::string framed = line + "\n";
         size_t off = 0;
         while (off < framed.size()) {
-            ssize_t n = write(fd, framed.data() + off,
-                              framed.size() - off);
+            ssize_t n = send(fd, framed.data() + off,
+                             framed.size() - off, MSG_NOSIGNAL);
+            if (n < 0 && (errno == EPIPE || errno == ECONNRESET))
+                return;
             if (n <= 0)
                 GAZE_FATAL("gaze_serve: write(): ",
                            std::strerror(errno));
@@ -70,7 +77,7 @@ class Connection
         }
     }
 
-    /** False on clean EOF; fatal on I/O errors. */
+    /** False on EOF or a reset connection; fatal on other errors. */
     bool
     readLine(std::string *line)
     {
@@ -78,6 +85,8 @@ class Connection
         while ((nl = buf.find('\n')) == std::string::npos) {
             char chunk[4096];
             ssize_t n = read(fd, chunk, sizeof(chunk));
+            if (n < 0 && errno == ECONNRESET)
+                return false;
             if (n < 0)
                 GAZE_FATAL("gaze_serve: read(): ",
                            std::strerror(errno));

@@ -21,6 +21,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -51,6 +52,14 @@ struct Request
 
 /** Highest priority a submission may request (and the negated floor). */
 constexpr int64_t kMaxPriority = 1'000'000;
+
+/**
+ * Longest request line the daemon reads, in bytes, newline excluded.
+ * A longer line is refused with a rejected event and its connection
+ * closed, so one client cannot grow the daemon's input buffer without
+ * bound. Inline specs are a few KiB; this leaves ample headroom.
+ */
+constexpr size_t kMaxRequestLine = size_t(1) << 20;
 
 /**
  * Parse one request line. Returns false with a client-facing reason on

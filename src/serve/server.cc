@@ -15,6 +15,7 @@
 
 #include "common/log.hh"
 #include "obs/trace.hh"
+#include "serve/protocol.hh"
 
 namespace gaze
 {
@@ -69,6 +70,8 @@ struct Conn
     uint64_t client = 0;
     std::string in;
     std::shared_ptr<Outbuf> out;
+    /** Refused (over-long line): no more reads; close once flushed. */
+    bool closing = false;
 };
 
 } // namespace
@@ -173,6 +176,49 @@ runServer(const ServerConfig &cfg)
         conns.erase(it);
     };
 
+    // Read what the socket holds and hand every complete line to the
+    // service. Lines are consumed by offset and the buffer compacted
+    // once per read, so pipelined input costs linear time. A line
+    // longer than kMaxRequestLine, complete or still arriving, is
+    // refused: the connection stops being read and closes once the
+    // rejected event is flushed. Returns true on EOF.
+    auto readRequests = [&](Conn &conn) {
+        char buf[4096];
+        for (;;) {
+            ssize_t n = read(conn.fd, buf, sizeof(buf));
+            if (n <= 0)
+                return n == 0;
+            size_t scan = conn.in.size();
+            conn.in.append(buf, size_t(n));
+            size_t off = 0;
+            size_t nl;
+            bool overlong = false;
+            while ((nl = conn.in.find('\n', scan)) != std::string::npos) {
+                size_t len = nl - off;
+                if (len > kMaxRequestLine) {
+                    overlong = true;
+                    break;
+                }
+                if (len > 0 && conn.in[nl - 1] == '\r')
+                    --len;
+                if (len > 0)
+                    service.handleLine(conn.client,
+                                       conn.in.substr(off, len));
+                off = scan = nl + 1;
+            }
+            conn.in.erase(0, off);
+            if (overlong || conn.in.size() > kMaxRequestLine) {
+                service.reject(conn.client,
+                               "request line exceeds "
+                                   + std::to_string(kMaxRequestLine)
+                                   + " bytes; closing the connection");
+                conn.closing = true;
+                std::string().swap(conn.in);
+                return false;
+            }
+        }
+    };
+
     for (;;) {
         std::vector<pollfd> fds;
         fds.push_back({gSignalPipe[0], POLLIN, 0});
@@ -180,7 +226,7 @@ runServer(const ServerConfig &cfg)
         if (!draining)
             fds.push_back({listenFd, POLLIN, 0});
         for (auto &kv : conns) {
-            short events = POLLIN;
+            short events = kv.second.closing ? 0 : POLLIN;
             {
                 std::unique_lock<std::mutex> lock(kv.second.out->mtx);
                 if (!kv.second.out->data.empty())
@@ -246,28 +292,7 @@ runServer(const ServerConfig &cfg)
                 continue;
             }
             if (fds[idx].revents & POLLIN) {
-                char buf[4096];
-                bool eof = false;
-                for (;;) {
-                    ssize_t n = read(conn.fd, buf, sizeof(buf));
-                    if (n > 0) {
-                        conn.in.append(buf, size_t(n));
-                        continue;
-                    }
-                    if (n == 0)
-                        eof = true;
-                    break;
-                }
-                size_t nl;
-                while ((nl = conn.in.find('\n'))
-                       != std::string::npos) {
-                    std::string line = conn.in.substr(0, nl);
-                    conn.in.erase(0, nl + 1);
-                    if (!line.empty() && line.back() == '\r')
-                        line.pop_back();
-                    if (!line.empty())
-                        service.handleLine(conn.client, line);
-                }
+                bool eof = readRequests(conn);
                 if (service.shutdownRequested())
                     beginDrain();
                 if (eof) {
@@ -298,6 +323,11 @@ runServer(const ServerConfig &cfg)
                     // unwritten tail, preserving order.
                     conn.out->data.insert(0, pending.substr(off));
                 }
+            }
+            if (conn.closing) {
+                std::unique_lock<std::mutex> lock(conn.out->mtx);
+                if (conn.out->data.empty())
+                    toClose.push_back(conn.fd);
             }
         }
         for (int fd : toClose)

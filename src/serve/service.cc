@@ -85,6 +85,13 @@ Service::rejectLocked(uint64_t client, const std::string &reason)
 }
 
 void
+Service::reject(uint64_t client, const std::string &reason)
+{
+    std::unique_lock<std::mutex> lock(mtx);
+    rejectLocked(client, reason);
+}
+
+void
 Service::handleLine(uint64_t client, const std::string &line)
 {
     std::unique_lock<std::mutex> lock(mtx);

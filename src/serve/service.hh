@@ -101,6 +101,11 @@ class Service
         including malformed input — is an event, never an exit. */
     void handleLine(uint64_t client, const std::string &line);
 
+    /** Refuse @p client with a rejected event for a transport-level
+        reason (an over-long request line); counted like any other
+        rejection. */
+    void reject(uint64_t client, const std::string &reason);
+
     /** Stop admitting submissions; rejections say the daemon drains. */
     void beginDrain();
 

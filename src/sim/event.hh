@@ -250,7 +250,7 @@ class EventQueue
  * entry gate sees hint > now is exactly a cycle the event engine would
  * never have dispatched, so returning without work preserves
  * bit-identical metrics. The hint is maintained unbound too (the
- * polled and threaded engines never bind), which is why due()/
+ * polled engine never binds), which is why due()/
  * tickDone()/requestWake() do their bookkeeping before any queue
  * check.
  */

@@ -47,8 +47,6 @@ const char *
 engineKindName(EngineKind kind)
 {
     switch (kind) {
-      case EngineKind::Event:
-        return "event";
       case EngineKind::Polled:
         return "polled";
       case EngineKind::Auto:
@@ -60,14 +58,12 @@ engineKindName(EngineKind kind)
 EngineKind
 parseEngineKind(const std::string &name)
 {
-    if (name == "event")
-        return EngineKind::Event;
     if (name == "polled")
         return EngineKind::Polled;
     if (name == "auto")
         return EngineKind::Auto;
     GAZE_FATAL("unknown simulation engine '", name,
-               "' (known: event, polled, auto)");
+               "' (known: polled, auto)");
 }
 
 System::System(const SystemConfig &config)
@@ -107,19 +103,7 @@ System::System(const SystemConfig &config)
     llcCache = std::make_unique<Cache>(llc_p, dramCtrl.get(), &clock,
                                        &pool);
 
-    // In threaded mode the per-core caches get private request pools
-    // (slice-local allocation, no sharing across workers) and send to
-    // the LLC through a staging portal; see executeThreadedCycle().
-    bool threaded = threadedActive();
-    RequestPool *corePool = threaded ? nullptr : &pool;
-
     for (uint32_t c = 0; c < cfg.numCores; ++c) {
-        MemoryDevice *llcPort = llcCache.get();
-        if (threaded) {
-            portals.push_back(std::make_unique<LlcPortal>(llcCache.get()));
-            llcPort = portals.back().get();
-        }
-
         CacheParams l2_p;
         l2_p.name = "L2C" + std::to_string(c);
         l2_p.level = levelL2;
@@ -131,8 +115,8 @@ System::System(const SystemConfig &config)
         l2_p.wqSize = 32;
         l2_p.pqSize = 16;
         l2_p.replacement = cfg.replacement;
-        l2s.push_back(std::make_unique<Cache>(l2_p, llcPort, &clock,
-                                              corePool));
+        l2s.push_back(std::make_unique<Cache>(l2_p, llcCache.get(),
+                                              &clock, &pool));
 
         CacheParams l1_p;
         l1_p.name = "L1D" + std::to_string(c);
@@ -146,19 +130,17 @@ System::System(const SystemConfig &config)
         l1_p.pqSize = 8;
         l1_p.replacement = cfg.replacement;
         l1ds.push_back(std::make_unique<Cache>(l1_p, l2s.back().get(),
-                                               &clock, corePool));
+                                               &clock, &pool));
 
         cores.push_back(std::make_unique<Core>(cfg.core, c,
                                                l1ds.back().get(), &vm,
                                                &clock));
     }
 
-    if (!threaded && cfg.engine != EngineKind::Polled) {
+    if (cfg.engine != EngineKind::Polled) {
         // Priorities reproduce tickAll()'s fixed order: all cores,
         // then L1Ds, L2s, the LLC, DRAM last — so same-cycle events
-        // dispatch exactly as the polled engine ticks. The threaded
-        // loop leaves everything unbound (requestWake no-ops) and
-        // does its own wake bookkeeping in sliceWake.
+        // dispatch exactly as the polled engine ticks.
         int n = static_cast<int>(cfg.numCores);
         for (uint32_t c = 0; c < cfg.numCores; ++c) {
             cores[c]->bindScheduler(&eq, static_cast<int>(c));
@@ -168,42 +150,21 @@ System::System(const SystemConfig &config)
         llcCache->bindScheduler(&eq, 3 * n);
         dramCtrl->bindScheduler(&eq, 3 * n + 1);
     }
-
-    if (threaded) {
-        sliceWake.assign(cfg.numCores, 0);
-        activeSlices.reserve(cfg.numCores);
-        // One L2 can push at most its prefetch issue rate (bounded by
-        // its tag ports) plus a retry and a demand-side spill into the
-        // LLC prefetch queue per cycle; 2*tagPorts + 2 over-covers it.
-        // replay() asserts no staged send is ever rejected, so if this
-        // bound were ever wrong the run dies loudly instead of
-        // silently diverging from the single-threaded engines.
-        maxPqSendsPerSlice = 2 * l2s[0]->params().tagPorts + 2;
-    }
 }
 
 System::~System()
 {
-    // Stop the worker team before the components it ticks go away.
-    team.reset();
     // Tear the hierarchy down first so every in-flight MSHR returns
     // its waiter chain, then hold the pool to its balance contract:
     // anything still outstanding is a leaked Request.
     cores.clear();
     l1ds.clear();
     l2s.clear();
-    portals.clear();
     llcCache.reset();
     dramCtrl.reset();
     GAZE_ASSERT(pool.outstanding() == 0,
                 "request pool imbalance at teardown: ",
                 pool.outstanding(), " node(s) leaked");
-}
-
-bool
-System::threadedActive() const
-{
-    return cfg.simThreads > 1 && cfg.numCores > 1;
 }
 
 void
@@ -404,13 +365,12 @@ System::minNextWakeCycle() const
 
 template <typename DoneFn, typename PostCycleFn>
 System::LoopExit
-System::eventLoop(uint64_t cap, uint64_t exec_limit, DoneFn &&done,
-                  PostCycleFn &&post)
+System::eventStint(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
 {
     scheduleAll();
     uint64_t execBase = executedCycles;
     while (!done()) {
-        if (executedCycles - execBase >= exec_limit)
+        if (executedCycles - execBase >= kAutoEventStint)
             return LoopExit::Stint;
         Cycle next = eq.nextEventCycle();
         if (next == EventQueue::kNoEvent) {
@@ -476,8 +436,8 @@ System::polledStint(uint64_t cap, uint64_t stint_len, DoneFn &&done,
         // names the cycle just ticked: nextWakeCycle() answers
         // relative to now(), and post-tick it is always > now(), so a
         // min over every component bounds the first future cycle any
-        // tick could matter — the same argument that makes the event
-        // engine's skips exact.
+        // tick could matter — the same argument that makes event
+        // dispatch's skips exact.
         bool probe = (clock & (kAutoProbePeriod - 1)) == 0;
         GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
         tickComponents();
@@ -493,7 +453,7 @@ System::polledStint(uint64_t cap, uint64_t stint_len, DoneFn &&done,
             if (wake == kNeverWake) {
                 // Nothing will ever self-wake again: either the run
                 // just finished, or it is wedged — jump to the cap
-                // exactly as the event engine does.
+                // exactly as event dispatch does.
                 if (done())
                     return LoopExit::Done;
                 clock = cap;
@@ -530,7 +490,7 @@ System::autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
             eq.resume();
             Cycle clockBase = clock;
             uint64_t execBase = executedCycles;
-            LoopExit ex = eventLoop(cap, kAutoEventStint, done, post);
+            LoopExit ex = eventStint(cap, done, post);
             if (ex == LoopExit::Done || ex == LoopExit::Capped) {
                 GAZE_OBS_HOOK(obsStintSpan("event stint", stintBegin););
                 return ex == LoopExit::Done;
@@ -559,7 +519,7 @@ System::autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
                 return ex == LoopExit::Done;
             }
             // Stint over (or an idle gap opened): trial event mode.
-            // scheduleAll() at eventLoop entry re-arms every
+            // scheduleAll() at eventStint entry re-arms every
             // component, repairing whatever went stale in the queue
             // while it was suspended.
             ++statEngineFlips;
@@ -570,141 +530,13 @@ System::autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
     }
 }
 
-Cycle
-System::executeThreadedCycle()
-{
-    // Which slices are due this cycle? sliceWake is exact (see below),
-    // so a skipped slice's ticks would all have been no-ops.
-    activeSlices.clear();
-    for (uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (sliceWake[c] <= clock)
-            activeSlices.push_back(c);
-    }
-    uint32_t active = static_cast<uint32_t>(activeSlices.size());
-
-    // Backpressure guard: the parallel phase replaces the LLC's
-    // accept/reject answer with unconditional staging, which is only
-    // faithful if the LLC could not have rejected anything. Its read
-    // and writeback queues are sized so the L2 MSHRs can never
-    // overrun them; the prefetch queue is the one that can fill, so
-    // run parallel only when even a worst-case burst fits, and fall
-    // back to exact inline (passthrough) execution otherwise.
-    bool parallel =
-        active > 1
-        && llcCache->pqOccupancy()
-                   + uint64_t(active) * maxPqSendsPerSlice
-               <= llcCache->params().pqSize;
-
-    if (parallel) {
-        for (uint32_t c : activeSlices)
-            portals[c]->setStaging(true);
-        team->runCycle(active);
-        for (uint32_t c : activeSlices) {
-            // Replay in core order: the LLC sees the same arrival
-            // sequence the single-threaded engines produce.
-            portals[c]->setStaging(false);
-            portals[c]->replay();
-        }
-    } else {
-        // Serial fallback (also the 0/1-active-slice fast path):
-        // exact single-threaded semantics, portals passing through.
-        for (uint32_t c : activeSlices) {
-            cores[c]->tick();
-            l1ds[c]->tick();
-            l2s[c]->tick();
-        }
-    }
-
-    // Cross-core structures always run serially, every executed
-    // cycle, on this thread — this is where LLC fills mutate L2s/L1s
-    // and cores, which is why the wake recomputation must come after.
-    llcCache->tick();
-    dramCtrl->tick();
-
-    ++executedCycles;
-    dispatchedEvents += 3 * uint64_t(active) + 2;
-
-    // Recompute every wake with the clock still naming the executed
-    // cycle (nextWakeCycle() answers relative to now()). Serial-phase
-    // fills can have woken slices that did not run this cycle, so all
-    // of them are refreshed, not just the active ones.
-    Cycle wake = kNeverWake;
-    for (uint32_t c = 0; c < cfg.numCores; ++c) {
-        Cycle w = cores[c]->nextWakeCycle();
-        w = std::min(w, l1ds[c]->nextWakeCycle());
-        w = std::min(w, l2s[c]->nextWakeCycle());
-        sliceWake[c] = w;
-        wake = std::min(wake, w);
-    }
-    wake = std::min(wake, llcCache->nextWakeCycle());
-    wake = std::min(wake, dramCtrl->nextWakeCycle());
-    ++clock;
-    return wake;
-}
-
-template <typename DoneFn, typename PostCycleFn>
-bool
-System::threadedLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
-{
-    if (!team) {
-        // One worker per extra slice at most; the team persists
-        // across run()/simulate() calls (parked in between).
-        team = std::make_unique<SliceTeam>(
-            std::min(cfg.simThreads, cfg.numCores));
-    }
-    // Mirror scheduleAll(): the first cycle of a (re)started run
-    // considers every component unconditionally.
-    std::fill(sliceWake.begin(), sliceWake.end(), clock);
-    Cycle wake = clock;
-
-    team->beginRun([this](uint32_t i) {
-        uint32_t c = activeSlices[i];
-        cores[c]->tick();
-        l1ds[c]->tick();
-        l2s[c]->tick();
-    });
-    struct RunGuard
-    {
-        SliceTeam *t;
-        ~RunGuard() { t->endRun(); }
-    } guard{team.get()};
-
-    while (!done()) {
-        if (clock >= cap)
-            return false;
-        if (wake == kNeverWake) {
-            // Nothing schedulable with targets unmet: wedged; jump to
-            // the cap exactly as the event engine does.
-            clock = cap;
-            return false;
-        }
-        if (wake > clock) {
-            clock = std::min(wake, cap);
-            if (clock >= cap)
-                return false;
-        }
-        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
-        wake = executeThreadedCycle();
-        post();
-    }
-    return true;
-}
-
 template <typename DoneFn, typename PostCycleFn>
 bool
 System::driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
 {
-    if (threadedActive())
-        return threadedLoop(cap, done, post);
-    switch (cfg.engine) {
-      case EngineKind::Event:
-        return eventLoop(cap, kNeverWake, done, post) == LoopExit::Done;
-      case EngineKind::Polled:
+    if (cfg.engine == EngineKind::Polled)
         return polledLoop(cap, done, post);
-      case EngineKind::Auto:
-        return autoLoop(cap, done, post);
-    }
-    return false;
+    return autoLoop(cap, done, post);
 }
 
 void
@@ -795,9 +627,7 @@ EngineStats
 System::engineStats() const
 {
     EngineStats s;
-    s.eventDriven = cfg.engine != EngineKind::Polled || threadedActive();
     s.kind = cfg.engine;
-    s.simThreads = cfg.simThreads;
     s.cyclesTotal = clock;
     s.cyclesExecuted = executedCycles;
     s.cyclesSkipped = clock - executedCycles;

@@ -19,7 +19,6 @@
 #include "sim/event.hh"
 #include "sim/prefetcher.hh"
 #include "sim/request_pool.hh"
-#include "sim/threaded.hh"
 #include "sim/trace.hh"
 #include "sim/vmem.hh"
 
@@ -34,27 +33,21 @@ class TraceSink;
 } // namespace obs
 
 /**
- * How the system advances time. All engines produce bit-identical
- * metrics (test_engine / test_engine_diff assert it); Event skips
- * idle cycles and is the default, Polled ticks every component every
- * cycle and remains the reference implementation and bench_engine
- * baseline, and Auto measures the skip fraction as it runs and flips
- * between the two dispatch strategies mid-run so dense workloads do
+ * How the system advances time. Both engines produce bit-identical
+ * metrics (test_engine / test_engine_diff assert it). Polled ticks
+ * every component every cycle and is the reference implementation
+ * and bench_engine baseline; Auto, the default, skips idle cycles
+ * through the event queue and flips to polled dispatch mid-run
+ * whenever a stint measures too little to skip, so dense workloads do
  * not pay the event queue's overhead.
- *
- * Orthogonally, `SystemConfig::simThreads > 1` runs a multi-core
- * system's per-core slices on worker threads (cycle-lockstep
- * fork/join, see threaded.hh); that loop both ticks like Polled and
- * skips like Event, and is engaged for any engine kind.
  */
 enum class EngineKind
 {
-    Event,  ///< timing-wheel scheduler, idle cycles skipped in O(1)
     Polled, ///< classic tickAll() loop
-    Auto    ///< adaptive: flips between Event and Polled dispatch
+    Auto    ///< adaptive: event stints skip idle cycles, dense go polled
 };
 
-/** CLI name of an engine ("event" / "polled" / "auto"). */
+/** CLI name of an engine ("polled" / "auto"). */
 const char *engineKindName(EngineKind kind);
 
 /** Parse an --engine= value; fatal on anything unknown. */
@@ -66,15 +59,7 @@ struct SystemConfig
     uint32_t numCores = 1;
 
     /** Simulation engine (results are identical for every kind). */
-    EngineKind engine = EngineKind::Event;
-
-    /**
-     * Worker threads for multi-core runs (1 = single-threaded).
-     * Takes effect when both simThreads > 1 and numCores > 1; results
-     * are bit-identical to single-threaded for any value. Thread
-     * counts beyond numCores are clamped (one slice per core).
-     */
-    uint32_t simThreads = 1;
+    EngineKind engine = EngineKind::Auto;
 
     CoreParams core;
 
@@ -112,9 +97,7 @@ struct SystemConfig
  */
 struct EngineStats
 {
-    bool eventDriven = true; ///< engine can skip cycles (kind != Polled)
-    EngineKind kind = EngineKind::Event;
-    uint32_t simThreads = 1;       ///< configured worker threads
+    EngineKind kind = EngineKind::Auto;
     uint64_t cyclesTotal = 0;      ///< simulated cycles (clock)
     uint64_t cyclesExecuted = 0;   ///< cycles at least one event ran
     uint64_t cyclesSkipped = 0;    ///< idle cycles jumped over
@@ -248,26 +231,21 @@ class System
     /** tickComponents() plus the clock/speed-counter bookkeeping. */
     void tickAll();
 
-    /** Event mode: make sure every component considers cycle `clock`. */
+    /** Event stint: make sure every component considers cycle `clock`. */
     void scheduleAll();
 
     /** Earliest next wake over every component (kNeverWake if none). */
     Cycle minNextWakeCycle() const;
 
-    /** True when this run executes per-core slices on worker threads. */
-    bool threadedActive() const;
-
     /**
-     * Event-driven inner loop shared by run(), simulate() and the
-     * auto engine: advance the clock to each next event cycle and
-     * dispatch it, until @p done returns true (checked between
-     * cycles, exactly where the polled loops check), the cycle cap is
-     * hit, or @p exec_limit more cycles have executed (auto-engine
-     * stints; pass kNeverWake for no limit).
+     * One event stint of the auto engine: advance the clock to each
+     * next event cycle and dispatch it, until @p done returns true
+     * (checked between cycles, exactly where the polled loops check),
+     * the cycle cap is hit, or kAutoEventStint more cycles have
+     * executed.
      */
     template <typename DoneFn, typename PostCycleFn>
-    LoopExit eventLoop(uint64_t cap, uint64_t exec_limit, DoneFn &&done,
-                       PostCycleFn &&post);
+    LoopExit eventStint(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
 
     /** Classic tick-every-cycle loop (engine == Polled). */
     template <typename DoneFn, typename PostCycleFn>
@@ -288,23 +266,7 @@ class System
     template <typename DoneFn, typename PostCycleFn>
     bool autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
 
-    /**
-     * Multi-threaded loop: per-core slices fork/joined across the
-     * SliceTeam every executed cycle, LLC/DRAM and all cross-core
-     * traffic serialized on this thread, idle stretches skipped via
-     * the same global min-wake argument the event engine uses.
-     */
-    template <typename DoneFn, typename PostCycleFn>
-    bool threadedLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
-
-    /**
-     * Execute the cycle `clock` points at (threaded mode), advance the
-     * clock past it and return the earliest cycle at which any
-     * component next needs to run (kNeverWake when none do).
-     */
-    Cycle executeThreadedCycle();
-
-    /** Dispatch to the loop this config runs (engine × threading). */
+    /** Dispatch to the loop this config's engine runs. */
     template <typename DoneFn, typename PostCycleFn>
     bool driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
 
@@ -341,8 +303,6 @@ class System
     VirtualMemory vm;
     std::unique_ptr<Dram> dramCtrl;
     std::unique_ptr<Cache> llcCache;
-    // Portals are declared before the L2s that send through them.
-    std::vector<std::unique_ptr<LlcPortal>> portals;
     std::vector<std::unique_ptr<Cache>> l2s;
     std::vector<std::unique_ptr<Cache>> l1ds;
     std::vector<std::unique_ptr<Core>> cores;
@@ -356,12 +316,6 @@ class System
     uint32_t obsDramTid = 0;
     std::vector<uint32_t> obsCoreTids;
     std::vector<std::string> schemeLabels;
-
-    // Threaded-mode state (see threaded.hh and executeThreadedCycle).
-    std::unique_ptr<SliceTeam> team;
-    std::vector<Cycle> sliceWake;      ///< per-slice next-wake cycle
-    std::vector<uint32_t> activeSlices;///< slices due this cycle
-    uint32_t maxPqSendsPerSlice = 0;   ///< LLC-pq backpressure budget
 };
 
 } // namespace gaze

@@ -136,6 +136,28 @@ TEST(GazeSimCliDeath, UnknownFlag)
                  "unknown option 'positional'");
 }
 
+TEST(GazeSimCli, EngineDefaultsToAutoAndAcceptsPolled)
+{
+    EXPECT_EQ(parseGazeSimArgs({}).spec.run.system.engine,
+              EngineKind::Auto);
+    EXPECT_EQ(parseGazeSimArgs({"--engine=polled"})
+                  .spec.run.system.engine,
+              EngineKind::Polled);
+    EXPECT_EQ(parseGazeSimArgs({"--engine=auto"}).spec.run.system.engine,
+              EngineKind::Auto);
+}
+
+TEST(GazeSimCliDeath, RemovedEngineModes)
+{
+    // No alias for the retired pure-event mode: it dies naming the
+    // engines that exist.
+    EXPECT_DEATH(parseGazeSimArgs({"--engine=event"}),
+                 "unknown simulation engine 'event' "
+                 "\\(known: polled, auto\\)");
+    EXPECT_DEATH(parseGazeSimArgs({"--sim-threads=4"}),
+                 "unknown option '--sim-threads=4'");
+}
+
 TEST(GazeSimCliDeath, BadWorkloadAndSuiteNames)
 {
     EXPECT_DEATH(parseGazeSimArgs({"--workloads=not_a_workload"}),

@@ -1,11 +1,12 @@
 /**
  * @file
- * Event-engine suite: timing-wheel ordering/rollover property tests,
+ * Engine suite: timing-wheel ordering/rollover property tests,
  * same-cycle dispatch determinism, RequestPool balance, and the
- * tentpole's acceptance criterion — the event-driven engine is
- * metrics-BIT-identical to the polled reference engine across the
- * golden prefetchers (and dspatch, which additionally exercises the
- * DRAM utilization-epoch catch-up), single- and multi-core.
+ * engine contract — the auto engine (event-driven idle skipping with
+ * adaptive polled stints) is metrics-BIT-identical to the polled
+ * reference engine across the golden prefetchers (and dspatch, which
+ * additionally exercises the DRAM utilization-epoch catch-up),
+ * single- and multi-core.
  */
 
 #include <gtest/gtest.h>
@@ -287,29 +288,29 @@ expectSameCacheStats(const CacheStats &a, const CacheStats &b,
 }
 
 void
-expectBitIdentical(const RunResult &ev, const RunResult &po,
+expectBitIdentical(const RunResult &au, const RunResult &po,
                    const std::string &ctx)
 {
-    ASSERT_EQ(ev.cores.size(), po.cores.size()) << ctx;
-    for (size_t c = 0; c < ev.cores.size(); ++c) {
-        EXPECT_EQ(ev.cores[c].instructions, po.cores[c].instructions)
+    ASSERT_EQ(au.cores.size(), po.cores.size()) << ctx;
+    for (size_t c = 0; c < au.cores.size(); ++c) {
+        EXPECT_EQ(au.cores[c].instructions, po.cores[c].instructions)
             << ctx << " core " << c;
-        EXPECT_EQ(ev.cores[c].cycles, po.cores[c].cycles)
+        EXPECT_EQ(au.cores[c].cycles, po.cores[c].cycles)
             << ctx << " core " << c;
     }
-    expectSameCacheStats(ev.l1d, po.l1d, "l1d", ctx);
-    expectSameCacheStats(ev.l2, po.l2, "l2", ctx);
-    expectSameCacheStats(ev.llc, po.llc, "llc", ctx);
-    EXPECT_EQ(ev.dram.reads, po.dram.reads) << ctx;
-    EXPECT_EQ(ev.dram.writes, po.dram.writes) << ctx;
-    EXPECT_EQ(ev.dram.rowHits, po.dram.rowHits) << ctx;
-    EXPECT_EQ(ev.dram.rowMisses, po.dram.rowMisses) << ctx;
-    EXPECT_EQ(ev.dram.busBusyCycles, po.dram.busBusyCycles) << ctx;
-    EXPECT_EQ(ev.dram.readLatencySum, po.dram.readLatencySum) << ctx;
+    expectSameCacheStats(au.l1d, po.l1d, "l1d", ctx);
+    expectSameCacheStats(au.l2, po.l2, "l2", ctx);
+    expectSameCacheStats(au.llc, po.llc, "llc", ctx);
+    EXPECT_EQ(au.dram.reads, po.dram.reads) << ctx;
+    EXPECT_EQ(au.dram.writes, po.dram.writes) << ctx;
+    EXPECT_EQ(au.dram.rowHits, po.dram.rowHits) << ctx;
+    EXPECT_EQ(au.dram.rowMisses, po.dram.rowMisses) << ctx;
+    EXPECT_EQ(au.dram.busBusyCycles, po.dram.busBusyCycles) << ctx;
+    EXPECT_EQ(au.dram.readLatencySum, po.dram.readLatencySum) << ctx;
     // Exact double equality is intended: same arithmetic, same order.
-    EXPECT_EQ(ev.ipc(), po.ipc()) << ctx;
+    EXPECT_EQ(au.ipc(), po.ipc()) << ctx;
     // Both engines simulate the same number of cycles overall.
-    EXPECT_EQ(ev.engine.cyclesTotal, po.engine.cyclesTotal) << ctx;
+    EXPECT_EQ(au.engine.cyclesTotal, po.engine.cyclesTotal) << ctx;
 }
 
 TEST(EngineEquivalence, GoldenPrefetchersBitIdentical)
@@ -321,7 +322,7 @@ TEST(EngineEquivalence, GoldenPrefetchersBitIdentical)
                                                   "sms", "dspatch"};
     const std::vector<std::string> workloads = {"leslie3d", "canneal",
                                                 "BFS-17"};
-    Runner eventRunner(smallConfig(EngineKind::Event));
+    Runner autoRunner(smallConfig(EngineKind::Auto));
     Runner polledRunner(smallConfig(EngineKind::Polled));
 
     for (const auto &wname : workloads) {
@@ -329,14 +330,14 @@ TEST(EngineEquivalence, GoldenPrefetchersBitIdentical)
         for (const auto &pname : prefetchers) {
             PfSpec pf;
             pf.l1 = pname;
-            RunResult ev = eventRunner.run(w, pf);
+            RunResult au = autoRunner.run(w, pf);
             RunResult po = polledRunner.run(w, pf);
-            expectBitIdentical(ev, po, wname + " x " + pname);
+            expectBitIdentical(au, po, wname + " x " + pname);
         }
         // Baselines too (no prefetcher: the purest idle-skip case).
-        RunResult ev = eventRunner.run(w, PfSpec{});
+        RunResult au = autoRunner.run(w, PfSpec{});
         RunResult po = polledRunner.run(w, PfSpec{});
-        expectBitIdentical(ev, po, wname + " x none");
+        expectBitIdentical(au, po, wname + " x none");
     }
 }
 
@@ -348,21 +349,21 @@ TEST(EngineEquivalence, MultiCoreMixBitIdentical)
     PfSpec pf;
     pf.l1 = "gaze";
 
-    Runner eventRunner(smallConfig(EngineKind::Event));
+    Runner autoRunner(smallConfig(EngineKind::Auto));
     Runner polledRunner(smallConfig(EngineKind::Polled));
-    RunResult ev = eventRunner.runMix(mix, pf);
+    RunResult au = autoRunner.runMix(mix, pf);
     RunResult po = polledRunner.runMix(mix, pf);
-    expectBitIdentical(ev, po, "2-core mix x gaze");
+    expectBitIdentical(au, po, "2-core mix x gaze");
 }
 
-TEST(EngineEquivalence, EventEngineIsDeterministic)
+TEST(EngineEquivalence, AutoEngineIsDeterministic)
 {
     EXPECT_TRUE(kScalePinned);
     PfSpec pf;
     pf.l1 = "gaze";
     WorkloadDef w = findWorkload("fotonik3d_s");
-    Runner a(smallConfig(EngineKind::Event));
-    Runner b(smallConfig(EngineKind::Event));
+    Runner a(smallConfig(EngineKind::Auto));
+    Runner b(smallConfig(EngineKind::Auto));
     expectBitIdentical(a.run(w, pf), b.run(w, pf),
                        "fotonik3d_s repeat");
 }
@@ -373,12 +374,12 @@ TEST(EngineStatsTest, PointerChaseSkipsIdleCycles)
 {
     EXPECT_TRUE(kScalePinned);
     // canneal is the low-MLP case: one dependent load in flight at a
-    // time, so most cycles are DRAM-latency waits the event engine
-    // must skip.
+    // time, so most cycles are DRAM-latency waits the auto engine's
+    // event stints must skip.
     WorkloadDef w = findWorkload("canneal");
-    Runner ev(smallConfig(EngineKind::Event));
-    RunResult r = ev.run(w, PfSpec{});
-    EXPECT_TRUE(r.engine.eventDriven);
+    Runner au(smallConfig(EngineKind::Auto));
+    RunResult r = au.run(w, PfSpec{});
+    EXPECT_EQ(r.engine.kind, EngineKind::Auto);
     EXPECT_EQ(r.engine.cyclesExecuted + r.engine.cyclesSkipped,
               r.engine.cyclesTotal);
     EXPECT_GT(r.engine.cyclesSkipped, r.engine.cyclesTotal / 2)
@@ -388,7 +389,7 @@ TEST(EngineStatsTest, PointerChaseSkipsIdleCycles)
 
     Runner po(smallConfig(EngineKind::Polled));
     RunResult p = po.run(w, PfSpec{});
-    EXPECT_FALSE(p.engine.eventDriven);
+    EXPECT_EQ(p.engine.kind, EngineKind::Polled);
     EXPECT_EQ(p.engine.cyclesSkipped, 0u);
     EXPECT_EQ(p.engine.cyclesExecuted, p.engine.cyclesTotal);
 }
@@ -396,8 +397,8 @@ TEST(EngineStatsTest, PointerChaseSkipsIdleCycles)
 TEST(EngineStatsTest, SummaryCarriesEngineSlice)
 {
     EXPECT_TRUE(kScalePinned);
-    Runner ev(smallConfig(EngineKind::Event));
-    RunResult r = ev.run(findWorkload("leslie3d"), PfSpec{});
+    Runner au(smallConfig(EngineKind::Auto));
+    RunResult r = au.run(findWorkload("leslie3d"), PfSpec{});
     RunSummary s = summarize(r);
     EXPECT_EQ(s.eventsDispatched, r.engine.eventsDispatched);
     EXPECT_EQ(s.cyclesExecuted, r.engine.cyclesExecuted);
@@ -413,10 +414,10 @@ TEST(RequestPoolTest, SystemTeardownIsBalanced)
     // Runs end with fetches in flight; System's destructor asserts
     // every pooled waiter came back. Surviving this scope IS the
     // test (the assert aborts otherwise).
-    Runner ev(smallConfig(EngineKind::Event));
+    Runner au(smallConfig(EngineKind::Auto));
     PfSpec pf;
     pf.l1 = "gaze";
-    RunResult r = ev.run(findWorkload("mcf"), pf);
+    RunResult r = au.run(findWorkload("mcf"), pf);
     EXPECT_GT(r.instructionsRetired, 0u);
 }
 

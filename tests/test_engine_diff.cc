@@ -1,19 +1,17 @@
 /**
  * @file
  * Differential engine-equivalence suite: the executable contract that
- * every way of advancing time — polled, event, auto (adaptive
- * mid-run flipping), and multi-threaded slices — produces bitwise
- * identical architectural metrics, on randomized (workload,
- * prefetcher, cores, engine, threads) configurations, plus repeat-run
- * determinism. The polled engine is the reference; everything else is
- * compared against it field by field.
+ * both ways of advancing time — polled, and auto (event stints that
+ * skip idle cycles, flipping to polled dispatch mid-run) — produce
+ * bitwise identical architectural metrics, on randomized (workload,
+ * prefetcher, cores) configurations, plus repeat-run determinism and
+ * observation on/off identity. The polled engine is the reference;
+ * auto is compared against it field by field.
  *
  * The `*Deep*` cases are the long-haul variant of the same property
- * (more trials, bigger instruction budgets, all thread counts); CTest
+ * (more trials, bigger instruction budgets, up to four cores); CTest
  * registers them separately under the `slow` label while the rest of
- * the file gates tier-1. The tier-1 half also runs under the
- * `--sanitize=thread` gate, where the threaded trials double as a
- * data-race probe of the fork/join engine.
+ * the file gates tier-1.
  */
 
 #include <gtest/gtest.h>
@@ -174,58 +172,41 @@ randomCase(Rng &rng, uint32_t max_cores, uint64_t warmup, uint64_t sim)
 }
 
 RunResult
-runCase(const DiffCase &d, EngineKind kind, uint32_t threads)
+runCase(const DiffCase &d, EngineKind kind, obs::TraceSink *sink = nullptr,
+        uint64_t interval = 0)
 {
     RunConfig cfg;
     cfg.warmupInstr = d.warmup;
     cfg.simInstr = d.sim;
     cfg.system.engine = kind;
-    cfg.system.simThreads = threads;
+    cfg.obs.trace = sink;
+    cfg.obs.samplerInterval = interval;
     Runner r(cfg);
     return r.runMix(d.mix, d.pf);
 }
 
-std::string
-variantName(EngineKind kind, uint32_t threads)
-{
-    std::string s = engineKindName(kind);
-    if (threads > 1)
-        s += "/t" + std::to_string(threads);
-    return s;
-}
-
 void
 runDifferentialTrials(Rng &rng, int trials, uint32_t max_cores,
-                      uint64_t warmup, uint64_t sim,
-                      const std::vector<std::pair<EngineKind, uint32_t>>
-                          &variants)
+                      uint64_t warmup, uint64_t sim)
 {
     for (int t = 0; t < trials; ++t) {
         DiffCase d = randomCase(rng, max_cores, warmup, sim);
-        RunResult ref = runCase(d, EngineKind::Polled, 1);
+        RunResult ref = runCase(d, EngineKind::Polled);
         ASSERT_GT(ref.instructionsRetired, 0u) << d.label;
-        for (auto [kind, threads] : variants) {
-            RunResult got = runCase(d, kind, threads);
-            expectBitIdentical(got, ref,
-                               "trial " + std::to_string(t) + " ["
-                                   + d.label + "] "
-                                   + variantName(kind, threads)
-                                   + " vs polled");
-        }
+        expectBitIdentical(runCase(d, EngineKind::Auto), ref,
+                           "trial " + std::to_string(t) + " ["
+                               + d.label + "] auto vs polled");
     }
 }
 
 // ---- tier-1: the differential property ------------------------------
 
-TEST(EngineDiff, RandomConfigsAllEnginesMatchPolledBitwise)
+TEST(EngineDiff, RandomConfigsAutoMatchesPolledBitwise)
 {
     EXPECT_TRUE(kScalePinned);
     Rng rng(0xd1f5eed1);
     runDifferentialTrials(rng, /*trials=*/5, /*max_cores=*/2,
-                          /*warmup=*/1000, /*sim=*/4000,
-                          {{EngineKind::Event, 1},
-                           {EngineKind::Auto, 1},
-                           {EngineKind::Event, 4}});
+                          /*warmup=*/1000, /*sim=*/4000);
 }
 
 TEST(EngineDiff, AutoEngineFlipsOnDenseWorkloadAndStaysIdentical)
@@ -239,8 +220,8 @@ TEST(EngineDiff, AutoEngineFlipsOnDenseWorkloadAndStaysIdentical)
     d.warmup = 2000;
     d.sim = 8000;
     d.label = "leslie3d dense";
-    RunResult ref = runCase(d, EngineKind::Polled, 1);
-    RunResult got = runCase(d, EngineKind::Auto, 1);
+    RunResult ref = runCase(d, EngineKind::Polled);
+    RunResult got = runCase(d, EngineKind::Auto);
     expectBitIdentical(got, ref, d.label);
     EXPECT_GT(got.engine.engineFlips, 0u)
         << "auto engine never flipped on a dense workload";
@@ -257,14 +238,14 @@ TEST(EngineDiff, AutoEngineStaysEventOnIdleWorkloadAndStaysIdentical)
     d.warmup = 2000;
     d.sim = 8000;
     d.label = "canneal idle";
-    RunResult ref = runCase(d, EngineKind::Polled, 1);
-    RunResult got = runCase(d, EngineKind::Auto, 1);
+    RunResult ref = runCase(d, EngineKind::Polled);
+    RunResult got = runCase(d, EngineKind::Auto);
     expectBitIdentical(got, ref, d.label);
     EXPECT_EQ(got.engine.engineFlips, 0u);
     EXPECT_GT(got.engine.cyclesSkipped, got.engine.cyclesTotal / 2);
 }
 
-TEST(EngineDiff, ThreadedFourCoreMixMatchesEveryEngine)
+TEST(EngineDiff, FourCoreMixAutoMatchesPolled)
 {
     EXPECT_TRUE(kScalePinned);
     DiffCase d;
@@ -274,134 +255,67 @@ TEST(EngineDiff, ThreadedFourCoreMixMatchesEveryEngine)
     d.warmup = 500;
     d.sim = 1500;
     d.label = "4-core mix";
-    RunResult ref = runCase(d, EngineKind::Polled, 1);
-    for (auto [kind, threads] :
-         std::vector<std::pair<EngineKind, uint32_t>>{
-             {EngineKind::Event, 1},
-             {EngineKind::Event, 4},
-             {EngineKind::Polled, 4},
-             {EngineKind::Auto, 4}}) {
-        RunResult got = runCase(d, kind, threads);
-        expectBitIdentical(got, ref,
-                           d.label + " " + variantName(kind, threads));
-    }
+    expectBitIdentical(runCase(d, EngineKind::Auto),
+                       runCase(d, EngineKind::Polled), d.label);
 }
 
 TEST(EngineDiff, RepeatRunsAreBitwiseDeterministic)
 {
     EXPECT_TRUE(kScalePinned);
     // Fresh Runner per run: determinism must come from the simulation,
-    // not shared state. The threaded repeat is the interesting one —
-    // thread scheduling varies between runs, results must not.
+    // not shared state.
     DiffCase d;
     d.mix = {findWorkload("mcf"), findWorkload("canneal")};
     d.pf.l1 = "gaze";
     d.warmup = 1000;
     d.sim = 4000;
     d.label = "repeat determinism";
-    for (auto [kind, threads] :
-         std::vector<std::pair<EngineKind, uint32_t>>{
-             {EngineKind::Event, 4}, {EngineKind::Auto, 1}}) {
-        RunResult a = runCase(d, kind, threads);
-        RunResult b = runCase(d, kind, threads);
-        expectBitIdentical(
-            a, b, d.label + " " + variantName(kind, threads));
-    }
-}
-
-TEST(EngineDiff, ThreadCountNeverChangesResults)
-{
-    EXPECT_TRUE(kScalePinned);
-    // Different worker counts partition the slices differently;
-    // metrics must not notice.
-    DiffCase d;
-    d.mix = {findWorkload("leslie3d"), findWorkload("canneal"),
-             findWorkload("fotonik3d_s"), findWorkload("mcf")};
-    d.pf.l1 = "ip_stride";
-    d.warmup = 250;
-    d.sim = 1000;
-    d.label = "thread sweep";
-    RunResult ref = runCase(d, EngineKind::Event, 1);
-    // 3 on 4 cores is the uneven split; 8 exercises the clamp. The
-    // full 2/3/4/8 sweep at bigger budgets lives in the Deep variant.
-    for (uint32_t threads : {3u, 8u}) {
-        RunResult got = runCase(d, EngineKind::Event, threads);
-        expectBitIdentical(got, ref,
-                           d.label + " t" + std::to_string(threads));
+    for (EngineKind kind : {EngineKind::Polled, EngineKind::Auto}) {
+        expectBitIdentical(runCase(d, kind), runCase(d, kind),
+                           d.label + " " + engineKindName(kind));
     }
 }
 
 // ---- observation must never perturb ---------------------------------
-
-RunResult
-runCaseObserved(const DiffCase &d, EngineKind kind, uint32_t threads,
-                obs::TraceSink *sink, uint64_t interval)
-{
-    RunConfig cfg;
-    cfg.warmupInstr = d.warmup;
-    cfg.simInstr = d.sim;
-    cfg.system.engine = kind;
-    cfg.system.simThreads = threads;
-    cfg.obs.trace = sink;
-    cfg.obs.samplerInterval = interval;
-    Runner r(cfg);
-    return r.runMix(d.mix, d.pf);
-}
 
 TEST(EngineDiff, ObservationOnMatchesObservationOffBitwise)
 {
     EXPECT_TRUE(kScalePinned);
     // The observability acceptance criterion: a run with the interval
     // sampler AND the trace sink attached must be bitwise identical to
-    // the plain run, on every engine and thread count. The sampler's
-    // lazy boundary emission and the sink's pure recording are exactly
-    // what this pins.
+    // the plain run, on both engines. The sampler's lazy boundary
+    // emission and the sink's pure recording are exactly what this
+    // pins.
     DiffCase d;
     d.mix = {findWorkload("mcf"), findWorkload("leslie3d")};
     d.pf.l1 = "gaze";
     d.warmup = 1000;
     d.sim = 4000;
     d.label = "obs on/off";
-    for (auto [kind, threads] :
-         std::vector<std::pair<EngineKind, uint32_t>>{
-             {EngineKind::Polled, 1},
-             {EngineKind::Polled, 4},
-             {EngineKind::Event, 1},
-             {EngineKind::Event, 4},
-             {EngineKind::Auto, 1},
-             {EngineKind::Auto, 4}}) {
-        RunResult off = runCase(d, kind, threads);
+    for (EngineKind kind : {EngineKind::Polled, EngineKind::Auto}) {
+        const char *name = engineKindName(kind);
+        RunResult off = runCase(d, kind);
         obs::TraceSink sink;
-        RunResult on =
-            runCaseObserved(d, kind, threads, &sink, /*interval=*/512);
-        expectBitIdentical(on, off,
-                           d.label + " "
-                               + variantName(kind, threads));
+        RunResult on = runCase(d, kind, &sink, /*interval=*/512);
+        expectBitIdentical(on, off, d.label + " " + name);
+        EXPECT_TRUE(off.obsSamples.empty()) << name;
 #if GAZE_OBS_ON
         // The observed run must actually have observed something, or
         // the comparison above is vacuous.
-        EXPECT_FALSE(on.obsSamples.empty())
-            << variantName(kind, threads);
-        EXPECT_GT(sink.eventCount(), 0u) << variantName(kind, threads);
+        EXPECT_FALSE(on.obsSamples.empty()) << name;
+        EXPECT_GT(sink.eventCount(), 0u) << name;
 #endif
     }
 }
 
 // ---- deep variant (slow label; excluded from tier-1) ----------------
 
-TEST(EngineDiffDeep, ManyRandomConfigsAllEnginesMatchPolledBitwise)
+TEST(EngineDiffDeep, ManyRandomConfigsAutoMatchesPolledBitwise)
 {
     EXPECT_TRUE(kScalePinned);
     Rng rng(0xdeed1f);
     runDifferentialTrials(rng, /*trials=*/12, /*max_cores=*/4,
-                          /*warmup=*/2000, /*sim=*/8000,
-                          {{EngineKind::Event, 1},
-                           {EngineKind::Auto, 1},
-                           {EngineKind::Event, 2},
-                           {EngineKind::Event, 3},
-                           {EngineKind::Event, 4},
-                           {EngineKind::Polled, 4},
-                           {EngineKind::Auto, 4}});
+                          /*warmup=*/2000, /*sim=*/8000);
 }
 
 } // namespace

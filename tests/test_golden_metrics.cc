@@ -282,10 +282,10 @@ TEST(GoldenMetrics, PerSchemeAttributionPinned)
 
 /**
  * A 2-core and a 4-core mix cell pinned the same way the single-core
- * table is: golden values recorded from the event engine, and every
- * other engine variant (polled, auto, threaded) required to reproduce
- * them BITWISE — the golden tolerance only absorbs toolchain drift of
- * the reference itself, never cross-engine drift.
+ * table is: golden values recorded from the default (auto) engine,
+ * and the polled reference engine required to reproduce them
+ * BITWISE — the golden tolerance only absorbs toolchain drift of the
+ * reference itself, never cross-engine drift.
  */
 struct MixGolden
 {
@@ -337,14 +337,14 @@ TEST(GoldenMetrics, MultiCoreMixCellsPinnedPerEngine)
         }
         label += " x gaze";
 
-        // Reference: event engine, single-threaded. Budgets are 2x
+        // Reference: the default (auto) engine. Budgets are 2x
         // the single-core ones: with per-core streams this small,
         // the shared LLC barely sees pressure and every metric
         // degenerates to its no-op value, pinning nothing.
         RunConfig cfg = goldenConfig();
         cfg.warmupInstr = 4000;
         cfg.simInstr = 16000;
-        cfg.system.engine = EngineKind::Event;
+        cfg.system.engine = EngineKind::Auto;
         Runner runner(cfg);
         const RunResult &base = runner.baselineMix(mix);
         RunResult ref = runner.runMix(mix, pf);
@@ -354,45 +354,28 @@ TEST(GoldenMetrics, MultiCoreMixCellsPinnedPerEngine)
         r.ipc = ref.ipc();
         rows.push_back(r);
 
-        // Every other engine variant must reproduce the reference
-        // cell bit for bit (same contract as test_engine_diff, here
-        // pinned to the golden budgets).
-        struct Variant
-        {
-            const char *name;
-            EngineKind kind;
-            uint32_t simThreads;
-        };
-        const Variant variants[] = {
-            {"polled", EngineKind::Polled, 1},
-            {"auto", EngineKind::Auto, 1},
-            {"event+threads", EngineKind::Event,
-             uint32_t(mix.size())},
-        };
-        for (const auto &v : variants) {
-            RunConfig vcfg = cfg;
-            vcfg.system.engine = v.kind;
-            vcfg.system.simThreads = v.simThreads;
-            Runner vrunner(vcfg);
-            RunResult got = vrunner.runMix(mix, pf);
-            EXPECT_EQ(ref.ipc(), got.ipc()) << label << " / " << v.name;
-            ASSERT_EQ(ref.cores.size(), got.cores.size());
-            for (size_t c = 0; c < ref.cores.size(); ++c) {
-                EXPECT_EQ(ref.cores[c].instructions,
-                          got.cores[c].instructions)
-                    << label << " / " << v.name << " core " << c;
-                EXPECT_EQ(ref.cores[c].cycles, got.cores[c].cycles)
-                    << label << " / " << v.name << " core " << c;
-            }
-            EXPECT_EQ(ref.engine.cyclesTotal, got.engine.cyclesTotal)
-                << label << " / " << v.name;
-            EXPECT_EQ(ref.llc.loadMiss, got.llc.loadMiss)
-                << label << " / " << v.name;
-            EXPECT_EQ(ref.llc.rfoMiss, got.llc.rfoMiss)
-                << label << " / " << v.name;
-            EXPECT_EQ(ref.dram.reads, got.dram.reads)
-                << label << " / " << v.name;
+        // The polled engine must reproduce the reference cell bit for
+        // bit (same contract as test_engine_diff, here pinned to the
+        // golden budgets).
+        RunConfig pcfg = cfg;
+        pcfg.system.engine = EngineKind::Polled;
+        RunResult got = Runner(pcfg).runMix(mix, pf);
+        EXPECT_EQ(ref.ipc(), got.ipc()) << label << " / polled";
+        ASSERT_EQ(ref.cores.size(), got.cores.size());
+        for (size_t c = 0; c < ref.cores.size(); ++c) {
+            EXPECT_EQ(ref.cores[c].instructions,
+                      got.cores[c].instructions)
+                << label << " / polled core " << c;
+            EXPECT_EQ(ref.cores[c].cycles, got.cores[c].cycles)
+                << label << " / polled core " << c;
         }
+        EXPECT_EQ(ref.engine.cyclesTotal, got.engine.cyclesTotal)
+            << label << " / polled";
+        EXPECT_EQ(ref.llc.loadMiss, got.llc.loadMiss)
+            << label << " / polled";
+        EXPECT_EQ(ref.llc.rfoMiss, got.llc.rfoMiss)
+            << label << " / polled";
+        EXPECT_EQ(ref.dram.reads, got.dram.reads) << label << " / polled";
     }
 
     ASSERT_EQ(rows.size(), std::size(kMixGolden));

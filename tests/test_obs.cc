@@ -8,7 +8,7 @@
  * lifecycle attribution invariants.
  *
  * The perturbation-freedom half of the contract (obs-on bitwise
- * identical to obs-off on every engine and thread count) lives in
+ * identical to obs-off on both engines) lives in
  * test_engine_diff; this file owns the obs outputs themselves.
  */
 
@@ -137,14 +137,13 @@ TEST(ObsSampler, AdvanceToBoundaryItselfDoesNotEmitIt)
 // ---- sampler wired through a real run -------------------------------
 
 [[maybe_unused]] RunResult
-runObserved(EngineKind kind, uint32_t threads, uint64_t interval,
+runObserved(EngineKind kind, uint64_t interval,
             obs::TraceSink *sink = nullptr)
 {
     RunConfig cfg;
     cfg.warmupInstr = 1000;
     cfg.simInstr = 4000;
     cfg.system.engine = kind;
-    cfg.system.simThreads = threads;
     cfg.obs.samplerInterval = interval;
     cfg.obs.trace = sink;
     Runner r(cfg);
@@ -160,7 +159,7 @@ TEST(ObsTimeline, RowsLandOnExactIntervalMultiples)
 {
     EXPECT_TRUE(kScalePinned);
     constexpr uint64_t kInterval = 512;
-    RunResult res = runObserved(EngineKind::Event, 1, kInterval);
+    RunResult res = runObserved(EngineKind::Auto, kInterval);
     const obs::SampleSeries &s = res.obsSamples;
     ASSERT_FALSE(s.empty());
     EXPECT_EQ(s.interval, kInterval);
@@ -181,9 +180,9 @@ TEST(ObsTimeline, RepeatRunsProduceByteIdenticalCsv)
 {
     EXPECT_TRUE(kScalePinned);
     std::string a =
-        runObserved(EngineKind::Event, 1, 512).obsSamples.toCsv();
+        runObserved(EngineKind::Auto, 512).obsSamples.toCsv();
     std::string b =
-        runObserved(EngineKind::Event, 1, 512).obsSamples.toCsv();
+        runObserved(EngineKind::Auto, 512).obsSamples.toCsv();
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
 }
@@ -194,7 +193,7 @@ TEST(ObsTimeline, RepeatRunsProduceByteIdenticalCsv)
  * across engines — the polled engine dispatches no events. The core
  * stall-cycle counters are exempt too: Core::catchUpStallCounters
  * back-fills them when a sleeping core wakes, so mid-skip boundaries
- * read lower on the event engine than on the (eager) polled one; end
+ * read lower on the auto engine than on the (eager) polled one; end
  * of run they converge, which the bitwise differential suite pins.
  * Every other column only moves on executed cycles and must agree at
  * every boundary.
@@ -236,45 +235,13 @@ TEST(ObsTimeline, EnginesAgreeOnEveryArchitecturalColumn)
 {
     EXPECT_TRUE(kScalePinned);
     auto ref =
-        architecturalColumns(runObserved(EngineKind::Polled, 1, 512)
+        architecturalColumns(runObserved(EngineKind::Polled, 512)
                                  .obsSamples);
     ASSERT_FALSE(ref.second.empty());
-    struct Variant
-    {
-        EngineKind kind;
-        uint32_t threads;
-        const char *name;
-    };
-    const Variant variants[] = {
-        {EngineKind::Event, 1, "event"},
-        {EngineKind::Auto, 1, "auto"},
-        {EngineKind::Auto, 4, "auto/t4"},
-    };
-    for (const auto &v : variants) {
-        auto got = architecturalColumns(
-            runObserved(v.kind, v.threads, 512).obsSamples);
-        EXPECT_EQ(got.first, ref.first) << v.name;
-        EXPECT_EQ(got.second, ref.second) << v.name;
-    }
-}
-
-TEST(ObsTimeline, SamplerOnVsOffIdenticalUnderAutoThreaded)
-{
-    EXPECT_TRUE(kScalePinned);
-    // The satellite's exact configuration: --engine=auto
-    // --sim-threads=4 with and without the sampler attached.
-    RunResult off = runObserved(EngineKind::Auto, 4, /*interval=*/0);
-    RunResult on = runObserved(EngineKind::Auto, 4, /*interval=*/512);
-    EXPECT_TRUE(off.obsSamples.empty());
-    EXPECT_FALSE(on.obsSamples.empty());
-    EXPECT_EQ(on.ipc(), off.ipc());
-    EXPECT_EQ(on.instructionsRetired, off.instructionsRetired);
-    EXPECT_EQ(on.l1d.loadMiss, off.l1d.loadMiss);
-    EXPECT_EQ(on.l1d.pfIssued, off.l1d.pfIssued);
-    EXPECT_EQ(on.l1d.pfUseful, off.l1d.pfUseful);
-    EXPECT_EQ(on.llc.loadMiss, off.llc.loadMiss);
-    EXPECT_EQ(on.dram.reads, off.dram.reads);
-    EXPECT_EQ(on.engine.cyclesTotal, off.engine.cyclesTotal);
+    auto got =
+        architecturalColumns(runObserved(EngineKind::Auto, 512).obsSamples);
+    EXPECT_EQ(got.first, ref.first);
+    EXPECT_EQ(got.second, ref.second);
 }
 
 // ---- trace sink through a real run ----------------------------------
@@ -288,7 +255,7 @@ TEST(ObsTrace, DocumentParsesAndCarriesBothProcessTracks)
         // system emits, as the campaign engine records them.
         obs::HostSpan span(&sink, "test cell");
         RunResult res =
-            runObserved(EngineKind::Event, 1, /*interval=*/0, &sink);
+            runObserved(EngineKind::Auto, /*interval=*/0, &sink);
         ASSERT_GT(res.instructionsRetired, 0u);
     }
     ASSERT_GT(sink.eventCount(), 0u);
@@ -373,7 +340,7 @@ TEST(ObsAttribution, SchemeCountsSatisfyLifecycleInvariants)
 TEST(ObsAttribution, LateSplitSumsToLateTotalAtEveryLevel)
 {
     EXPECT_TRUE(kScalePinned);
-    RunResult res = runObserved(EngineKind::Event, 1, 0);
+    RunResult res = runObserved(EngineKind::Auto, 0);
     for (const CacheStats *s : {&res.l1d, &res.l2, &res.llc}) {
         EXPECT_EQ(s->loadMissLate + s->rfoMissLate, s->pfLate);
         EXPECT_LE(s->loadMissLate, s->loadMiss);

@@ -8,10 +8,7 @@
  * the campaign ResultCache with multiple in-process shards
  * publishing into one directory — far harder than the functional
  * tests do, so a data race introduced into any of them is caught
- * here before it corrupts a simulation — plus the SliceTeam fork/join
- * barrier behind the threaded engine (--sim-threads), stressed with
- * maximally skewed slice runtimes, a prefetcher-heavy shared-LLC run,
- * and exceptions thrown from worker threads.
+ * here before it corrupts a simulation.
  *
  * The tests also run in plain builds (tier1): the assertions hold
  * everywhere, TSan just adds the race verdict.
@@ -34,7 +31,6 @@
 #include "campaign/spec.hh"
 #include "driver/thread_pool.hh"
 #include "harness/runner.hh"
-#include "sim/threaded.hh"
 #include "workloads/suites.hh"
 
 namespace gaze
@@ -329,120 +325,6 @@ TEST(TsanCampaignShards, DuplicateFullRunsRaceOnEveryCell)
     EXPECT_EQ(status.cached, 4u);
     EXPECT_EQ(status.missing, 0u);
     EXPECT_FALSE(merged.json.empty());
-}
-
-// ---- SliceTeam (the threaded engine's fork/join barrier) -------------
-
-TEST(TsanSliceTeam, MaxSkewSliceRuntimesManyCycles)
-{
-    // One slice per cycle does ~1000x the work of the others, and
-    // which one rotates every cycle — the worst case for the barrier:
-    // fast members hammer the arrival counter while the skewed one
-    // still runs, and the coordinator joins against a different
-    // laggard each cycle. Slice-local counters are plain (non-atomic)
-    // on purpose: the go-token/arrival protocol must order them.
-    constexpr uint32_t kSlices = 8;
-    constexpr uint32_t kCycles = 2000;
-    SliceTeam team(4);
-    uint64_t perSlice[kSlices] = {};
-    uint32_t cycle = 0;
-
-    team.beginRun([&](uint32_t s) {
-        uint64_t spins = (s == cycle % kSlices) ? 1000 : 1;
-        volatile uint64_t sink = 0;
-        for (uint64_t i = 0; i < spins; ++i)
-            sink = sink + i;
-        perSlice[s] += 1;
-    });
-    for (cycle = 0; cycle < kCycles; ++cycle)
-        team.runCycle(kSlices);
-    team.endRun();
-
-    for (uint32_t s = 0; s < kSlices; ++s)
-        EXPECT_EQ(perSlice[s], kCycles) << "slice " << s;
-
-    // Re-arm the same team for a second run: park/unpark must hand
-    // over cleanly, including to workers that never saw a bump yet.
-    team.beginRun([&](uint32_t s) { perSlice[s] += 1; });
-    team.runCycle(kSlices);
-    team.endRun();
-    for (uint32_t s = 0; s < kSlices; ++s)
-        EXPECT_EQ(perSlice[s], kCycles + 1) << "slice " << s;
-}
-
-TEST(TsanSliceTeam, PrefetcherHeavyLlcContentionMatchesSingleThread)
-{
-    // End-to-end: a 4-core mix with prefetchers at both L1 and L2
-    // pushes the most concurrent traffic through the staged LLC
-    // portals, on real simulator state. The assertion is the
-    // differential contract (bit-identical to --sim-threads=1); TSan
-    // adds the race verdict over the whole engine.
-    std::vector<WorkloadDef> mix = {
-        findWorkload("fotonik3d_s"), findWorkload("leslie3d"),
-        findWorkload("mcf"), findWorkload("canneal")};
-    PfSpec pf;
-    pf.l1 = "gaze";
-    pf.l2 = "ip_stride";
-    RunConfig cfg;
-    cfg.warmupInstr = 500;
-    cfg.simInstr = 2000;
-    cfg.system.engine = EngineKind::Event;
-
-    cfg.system.simThreads = 1;
-    RunResult one = Runner(cfg).runMix(mix, pf);
-    cfg.system.simThreads = 4;
-    RunResult four = Runner(cfg).runMix(mix, pf);
-
-    EXPECT_EQ(one.ipc(), four.ipc());
-    ASSERT_EQ(one.cores.size(), four.cores.size());
-    for (size_t c = 0; c < one.cores.size(); ++c) {
-        EXPECT_EQ(one.cores[c].instructions, four.cores[c].instructions);
-        EXPECT_EQ(one.cores[c].cycles, four.cores[c].cycles);
-    }
-    EXPECT_EQ(one.llc.loadMiss, four.llc.loadMiss);
-    EXPECT_EQ(one.llc.pfIssued, four.llc.pfIssued);
-    EXPECT_EQ(one.dram.reads, four.dram.reads);
-    EXPECT_EQ(one.engine.cyclesTotal, four.engine.cyclesTotal);
-}
-
-TEST(TsanSliceTeam, ExceptionInWorkerTeardown)
-{
-    // Slice 1 runs on worker member 1 (round-robin over 4 members):
-    // its exception must cross the barrier, surface in runCycle on
-    // the coordinating thread, leave the team usable, and tear down
-    // cleanly afterwards. With two slices throwing at once the lowest
-    // member index wins, deterministically.
-    SliceTeam team(4);
-    std::atomic<uint32_t> ran{0};
-    bool throwS1 = false, throwS2 = false;
-
-    team.beginRun([&](uint32_t s) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        if (s == 1 && throwS1)
-            throw std::runtime_error("slice1");
-        if (s == 2 && throwS2)
-            throw std::runtime_error("slice2");
-    });
-
-    team.runCycle(8); // healthy cycle first
-    EXPECT_EQ(ran.load(), 8u);
-
-    throwS1 = throwS2 = true;
-    try {
-        team.runCycle(8);
-        FAIL() << "runCycle must rethrow a slice exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "slice1") << "lowest member must win";
-    }
-
-    // The team stays usable: a clean cycle after the throw, then a
-    // second throwing cycle straight into endRun + destruction (the
-    // teardown path with error slots freshly cleared).
-    throwS1 = throwS2 = false;
-    team.runCycle(8);
-    throwS2 = true;
-    EXPECT_THROW(team.runCycle(8), std::runtime_error);
-    team.endRun();
 }
 
 } // namespace
