@@ -214,6 +214,23 @@ class LruTable
     }
 
     /**
+     * Visit @p set's valid entries as fn(tag, EntryT&), in way order.
+     * Callers that only care about one set use this instead of a
+     * filtered forEach(), which would walk the whole table.
+     */
+    template <typename Fn>
+    void
+    forEachInSet(uint64_t set, Fn &&fn)
+    {
+        checkSet(set);
+        size_t base = set * numWays;
+        for (size_t i = base; i < base + numWays; ++i) {
+            if (stamps[i] != 0)
+                fn(tags[i], payload[i]);
+        }
+    }
+
+    /**
      * Return the tag that LRU would evict next from @p set, if the set
      * is full; nullopt while there is still an invalid way.
      */

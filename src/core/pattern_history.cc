@@ -46,15 +46,13 @@ PatternHistoryTable::lookupApprox(const InitialAccesses &event)
 {
     if (const Bitset *exact = table.find(indexOf(event), tagOf(event)))
         return exact;
-    // Partial match: any pattern whose trigger offset matches. Pick
-    // the one with the highest LRU recency by scanning the set.
-    const Bitset *best = nullptr;
-    uint64_t set = indexOf(event);
-    table.forEach([&](uint64_t s, uint64_t, Bitset &fp) {
-        if (s == set)
-            best = &fp; // forEach visits in way order; any way works
+    // Partial match: any pattern in the trigger offset's set. Return
+    // the last valid way in way order (not the most recent one).
+    const Bitset *last = nullptr;
+    table.forEachInSet(indexOf(event), [&](uint64_t, Bitset &fp) {
+        last = &fp;
     });
-    return best;
+    return last;
 }
 
 size_t

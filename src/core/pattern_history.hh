@@ -63,8 +63,9 @@ class PatternHistoryTable
 
     /**
      * Approximate lookup for the strictMatch=false ablation: on a tag
-     * miss, fall back to the most recently used pattern in the
-     * indexed set (trigger matches, later offsets may not).
+     * miss, fall back to the valid pattern in the highest way of the
+     * indexed set (trigger matches, later offsets may not). The pick
+     * follows way order, not LRU recency.
      */
     const Bitset *lookupApprox(const InitialAccesses &event);
 

@@ -40,8 +40,8 @@ BingoPrefetcher::predictOnTrigger(const RegionInfo &info)
     const Bitset *exact = exact_entry ? &exact_entry->footprint : nullptr;
     std::vector<const Bitset *> approx;
     if (!exact) {
-        pht.forEach([&](uint64_t s, uint64_t, Entry &e) {
-            if (s == set && e.shortTag == skey)
+        pht.forEachInSet(set, [&](uint64_t, Entry &e) {
+            if (e.shortTag == skey)
                 approx.push_back(&e.footprint);
         });
     }

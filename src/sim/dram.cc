@@ -1,5 +1,6 @@
 #include "sim/dram.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.hh"
@@ -51,6 +52,15 @@ Dram::Dram(const DramParams &params, const Cycle *clock_ptr)
     burst = static_cast<Cycle>(
         std::ceil(transfers * cfg.cpuGhz * 1000.0 / cfg.mtps));
     GAZE_ASSERT(burst >= 1, "degenerate burst length");
+
+    // One command per cycle per channel; bank-level parallelism is
+    // implicit (each command occupies only its own bank), and the
+    // shared data bus serializes transfers via the busFree high-water
+    // mark. The issue horizon must exceed the worst-case bank access
+    // (precharge+activate+CAS) or a single row miss on an idle bus
+    // would stall command issue for the whole access latency; beyond
+    // that, allow a few bursts of transfer pipelining.
+    horizon = tRp + tRcd + tCas + 4 * burst;
 }
 
 Dram::Decoded
@@ -70,6 +80,7 @@ Dram::decode(Addr paddr) const
 bool
 Dram::sendRequest(const Request &req)
 {
+    settle();
     Decoded d = decode(req.paddr);
     Channel &ch = channels[d.channel];
 
@@ -131,31 +142,27 @@ Dram::choose(Channel &ch, const Pick &p, size_t none) const
     return p.oldest;
 }
 
+bool
+Dram::drainState(const Channel &ch) const
+{
+    bool draining = ch.draining;
+    if (!draining && (ch.wq.size() >= cfg.wqDrainHigh ||
+                      (ch.rq.empty() && !ch.wq.empty())))
+        draining = true;
+    if (draining && ch.wq.size() <= cfg.wqDrainLow)
+        draining = false;
+    return draining;
+}
+
 void
 Dram::serviceChannel(Channel &ch)
 {
-    // Hysteretic write drain: start when the WQ is nearly full (or
-    // reads are absent), stop when drained low.
-    if (!ch.draining &&
-        (ch.wq.size() >= cfg.wqDrainHigh || (ch.rq.empty() && !ch.wq.empty())))
-        ch.draining = true;
-    if (ch.draining && (ch.wq.size() <= cfg.wqDrainLow ||
-                        (ch.wq.empty())))
-        ch.draining = false;
-
-    bool do_write = ch.draining && !ch.wq.empty();
-    RingBuffer<QueuedRequest> &q = do_write ? ch.wq : ch.rq;
+    ch.draining = drainState(ch);
+    RingBuffer<QueuedRequest> &q = servicedQueue(ch, ch.draining);
+    bool do_write = &q == &ch.wq;
     if (q.empty())
         return;
 
-    // One command per cycle per channel; bank-level parallelism is
-    // implicit (each command occupies only its own bank), and the
-    // shared data bus serializes transfers via the busFree high-water
-    // mark. The issue horizon must exceed the worst-case bank access
-    // (precharge+activate+CAS) or a single row miss on an idle bus
-    // would stall command issue for the whole access latency; beyond
-    // that, allow a few bursts of transfer pipelining.
-    Cycle horizon = tRp + tRcd + tCas + 4 * burst;
     if (ch.busFree > now() + horizon)
         return;
 
@@ -228,16 +235,45 @@ Dram::catchUpEpochs()
     }
 }
 
+void
+Dram::settle()
+{
+    if (settleFrom >= now())
+        return;
+    Cycle last = now() - 1; // the latest skipped cycle
+    settleFrom = now();
+    bool any_queued = false;
+    for (const auto &ch : channels)
+        any_queued |= !ch.rq.empty() || !ch.wq.empty();
+    if (!any_queued)
+        return; // an empty controller does not tick between requests
+    for (auto &ch : channels) {
+        ch.draining = drainState(ch);
+        if (!servicedQueue(ch, ch.draining).empty() &&
+            ch.busFree <= last + horizon)
+            ch.rowHitBypasses = 0;
+    }
+}
+
 Cycle
 Dram::nextWakeCycle() const
 {
+    Cycle wake = completions.empty() ? kNeverWake
+                                     : completions.top().ready;
     for (const auto &ch : channels) {
-        if (!ch.rq.empty() || !ch.wq.empty())
-            return now() + 1;
+        const RingBuffer<QueuedRequest> &q =
+            servicedQueue(ch, drainState(ch));
+        if (q.empty())
+            continue; // nothing to issue until a request arrives
+        Cycle t = now() + 1;
+        if (ch.busFree > t + horizon)
+            t = ch.busFree - horizon; // first cycle the bus admits
+        Cycle bank_ready = kNeverWake;
+        for (size_t i = 0; i < q.size(); ++i)
+            bank_ready = std::min(bank_ready, ch.banks[q[i].bank].ready);
+        wake = std::min(wake, std::max(t, bank_ready));
     }
-    if (!completions.empty())
-        return completions.top().ready;
-    return kNeverWake;
+    return wake;
 }
 
 void
@@ -245,10 +281,13 @@ Dram::tick()
 {
     // Wake-hint gate (see TickEvent). Epoch boundaries crossed while
     // skipping are reconstructed exactly by catchUpEpochs(), and
-    // recentUtilization() is already sleep-aware.
+    // recentUtilization() is already sleep-aware; settle() replays the
+    // skipped cycles' channel state.
     if (!sched.due(now()))
         return;
 
+    settle();
+    settleFrom = now() + 1; // this tick accounts for the current cycle
     catchUpEpochs();
 
     while (!completions.empty() && completions.top().ready <= now()) {

@@ -112,8 +112,13 @@ class Dram final : public MemoryDevice
 
     /**
      * Earliest future cycle a tick could issue a command or deliver a
-     * completion; kNeverWake when every queue and the completion heap
-     * are empty (sendRequest wakes the controller).
+     * completion: per channel, the first cycle at which the queue the
+     * drain hysteresis selects holds a request whose bank is ready
+     * while the data bus is within the issue horizon; kNeverWake when
+     * no channel has such a request and the completion heap is empty
+     * (sendRequest wakes the controller). Queues, banks and the bus
+     * change only in a tick or a sendRequest, so the bound is exact;
+     * settle() replays what the cycles it skips would have done.
      */
     Cycle nextWakeCycle() const;
 
@@ -171,6 +176,36 @@ class Dram final : public MemoryDevice
     void serviceChannel(Channel &ch);
 
     /**
+     * Write-drain hysteresis on the channel's current queue sizes:
+     * start when the WQ is nearly full (or reads are absent), stop
+     * when drained low. Applying it twice to the same sizes gives the
+     * same answer, which is what lets settle() replay a run of
+     * skipped cycles with one application.
+     */
+    bool drainState(const Channel &ch) const;
+
+    /** The queue a tick services under drain state @p draining. */
+    template <typename Ch>
+    static auto &
+    servicedQueue(Ch &ch, bool draining)
+    {
+        return draining && !ch.wq.empty() ? ch.wq : ch.rq;
+    }
+
+    /**
+     * Account for the cycles from settleFrom to now()-1 that no tick
+     * ran. While any queue holds a request the reference schedule
+     * ticks every cycle; nextWakeCycle() skips only cycles whose tick
+     * issues nothing, and each of them still applies the hysteresis
+     * (same sizes, so once is enough) and, when the bus is within the
+     * horizon, runs a fruitless scan whose choose() zeroes the
+     * reorder-bound counter. Called at tick entry and before
+     * sendRequest enqueues, so the replay sees the sizes the skipped
+     * cycles saw.
+     */
+    void settle();
+
+    /**
      * Process epoch boundaries that fell strictly before the current
      * cycle while the controller slept (the polled engine handles
      * each at its own cycle; idle epochs publish a zero utilization).
@@ -219,6 +254,12 @@ class Dram final : public MemoryDevice
     uint32_t banksPerChannel;
     uint64_t blocksPerRow;
     Cycle tRp, tRcd, tCas, burst;
+
+    /** A channel issues only while busFree <= now + horizon. */
+    Cycle horizon = 0;
+
+    /** First cycle neither a tick nor settle() has accounted for. */
+    Cycle settleFrom = 0;
 
     DramStats stat;
 

@@ -238,7 +238,9 @@ class EventQueue
  *    `sched.tickDone(nextWakeCycle())`.
  *  - `Cycle nextWakeCycle() const` — earliest future cycle at which
  *    ticking could have any effect given current state (kNeverWake
- *    when only external input can create work).
+ *    when only external input can create work). A component may also
+ *    skip cycles whose only effects it replays before its state is
+ *    next read or changed (Dram::settle()).
  * External inputs (sendRequest, recvFill) call requestWake() on the
  * target so a sleeping component is woken exactly when the polled
  * engine would first have ticked it to any effect.

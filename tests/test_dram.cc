@@ -2,11 +2,15 @@
  * @file
  * DRAM controller tests: Table II timing derivation, row-buffer
  * effects, bank-level parallelism, FR-FCFS with the starvation guard,
- * write-drain hysteresis, and the bandwidth ceiling implied by
- * 3200 MTPS over a 64-bit bus.
+ * write-drain hysteresis, the bandwidth ceiling implied by 3200 MTPS
+ * over a 64-bit bus, and the replay of cycles the controller sleeps
+ * through.
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "sim/dram.hh"
 #include "test_util.hh"
@@ -17,6 +21,24 @@ namespace
 {
 
 using test::FakeReceiver;
+
+/** A fill's address and arrival cycle. */
+using Fill = std::pair<Addr, Cycle>;
+
+/** Records each fill's address and arrival cycle, in order. */
+struct TimedReceiver : FillReceiver
+{
+    explicit TimedReceiver(const Cycle *c) : clock(c) {}
+
+    void
+    recvFill(const Request &req) override
+    {
+        fills.emplace_back(req.paddr, *clock);
+    }
+
+    const Cycle *clock;
+    std::vector<Fill> fills;
+};
 
 class DramTest : public ::testing::Test
 {
@@ -40,6 +62,24 @@ class DramTest : public ::testing::Test
             dram->tick();
             ++clock;
         }
+    }
+
+    /** Block @p col of @p row in @p bank (1 channel, 1 rank). */
+    Addr
+    at(uint32_t bank, uint64_t row, uint64_t col) const
+    {
+        uint64_t per_row = params.rowBufferBytes / blockSize;
+        uint64_t block = (row * per_row + col) * params.banksPerRank + bank;
+        return block * blockSize;
+    }
+
+    Request
+    writeback(Addr a)
+    {
+        Request q;
+        q.paddr = a;
+        q.type = AccessType::Writeback;
+        return q;
     }
 
     Request
@@ -238,6 +278,109 @@ TEST_F(DramTest, MultiChannelPartitionsBlocks)
         dram->sendRequest(read(0x900000 + i * 64, &rx));
     run(130);
     EXPECT_EQ(rx.fills.size(), 4u);
+}
+
+// The cases below pin completion order and cycles of scenarios where
+// the controller sleeps through cycles that the reference schedule
+// (one tick per cycle while any queue holds a request) ticks to no
+// visible effect at the time. Dram::settle() must replay what those
+// ticks changed; the pinned values are the reference schedule's.
+
+TEST_F(DramTest, SkippedScansResetReorderBound)
+{
+    build();
+    TimedReceiver sink(&clock);
+    // Open row 1 of bank 0, then queue an older row miss ahead of ten
+    // row hits. After each row hit bank 0 is busy, every scan until it
+    // frees finds nothing ready and zeroes the bypass counter, so all
+    // ten row hits pass the row miss.
+    dram->sendRequest(read(at(0, 1, 0), &sink));
+    run(200);
+    dram->sendRequest(read(at(0, 2, 0), &sink));
+    for (uint64_t col = 1; col <= 10; ++col)
+        dram->sendRequest(read(at(0, 1, col), &sink));
+    run(1000);
+    std::vector<Fill> expect = {{at(0, 1, 0), 110}};
+    for (uint64_t col = 1; col <= 10; ++col)
+        expect.push_back({at(0, 1, col), 200 + 60 * col});
+    expect.push_back({at(0, 2, 0), 960});
+    EXPECT_EQ(sink.fills, expect);
+}
+
+TEST_F(DramTest, SkippedCyclesBeyondBusHorizonKeepReorderBound)
+{
+    // A slow bus with fast banks: a few bursts push busFree past the
+    // issue horizon, and cycles beyond it do not scan, so the bypass
+    // counter survives them and the row miss waits only its 8 bypasses.
+    params.tRpNs = params.tRcdNs = params.tCasNs = 1.25;
+    params.mtps = 400.0;
+    build();
+    TimedReceiver sink(&clock);
+    for (uint32_t bank = 0; bank < 8; ++bank)
+        dram->sendRequest(read(at(bank, 0, 0), &sink));
+    run(1000);
+    dram->sendRequest(read(at(0, 1, 0), &sink));
+    for (uint64_t col = 1; col <= 2; ++col)
+        for (uint32_t bank = 1; bank < 8; ++bank)
+            dram->sendRequest(read(at(bank, 0, col), &sink));
+    run(3000);
+    // Bursts are 80 cycles. The row hits of column 1 and the first of
+    // column 2 make the 8 bypasses; the row miss goes ninth.
+    std::vector<Fill> expect;
+    for (uint32_t bank = 0; bank < 8; ++bank)
+        expect.push_back({at(bank, 0, 0), 90 + 80 * bank});
+    Cycle t = 1085;
+    for (uint32_t bank = 1; bank < 8; ++bank, t += 80)
+        expect.push_back({at(bank, 0, 1), t});
+    expect.push_back({at(1, 0, 2), t});
+    expect.push_back({at(0, 1, 0), t + 80});
+    t += 160;
+    for (uint32_t bank = 2; bank < 8; ++bank, t += 80)
+        expect.push_back({at(bank, 0, 2), t});
+    EXPECT_EQ(sink.fills, expect);
+}
+
+TEST_F(DramTest, WritebackOnWakeCycleIsNotReplayed)
+{
+    params.wqDrainHigh = 3;
+    params.wqDrainLow = 1;
+    build();
+    TimedReceiver sink(&clock);
+    // Three writebacks start a drain; two issue, leaving the drain
+    // flag set with the WQ at the low mark, so the next cycle's
+    // hysteresis ends the drain. The read waits for bank 2 while the
+    // controller sleeps. A writeback arriving in that sleep must not
+    // be visible to the replayed hysteresis: the drain stays off, the
+    // read issues when bank 2 frees, and the writes go after it.
+    dram->sendRequest(writeback(at(2, 0, 0)));
+    dram->sendRequest(writeback(at(3, 0, 0)));
+    dram->sendRequest(writeback(at(4, 0, 0)));
+    dram->sendRequest(read(at(2, 0, 1), &sink));
+    run(100);
+    dram->sendRequest(writeback(at(5, 0, 0)));
+    run(400);
+    // Row hit on bank 2 at 110: tCAS 50 + burst 10.
+    EXPECT_EQ(sink.fills, (std::vector<Fill>{{at(2, 0, 1), 170}}));
+}
+
+TEST_F(DramTest, EmptySleepKeepsDrainState)
+{
+    params.wqDrainHigh = 2;
+    params.wqDrainLow = 0;
+    build();
+    TimedReceiver sink(&clock);
+    // The drain issues both writebacks and leaves its flag set with
+    // every queue empty; an empty controller does not tick, so no
+    // hysteresis runs while it sleeps. A read and a writeback arriving
+    // together then find the drain still on: the write goes first and
+    // the read's burst waits behind it.
+    dram->sendRequest(writeback(at(1, 0, 0)));
+    dram->sendRequest(writeback(at(2, 0, 0)));
+    run(300);
+    dram->sendRequest(read(at(3, 0, 0), &sink));
+    dram->sendRequest(writeback(at(4, 0, 0)));
+    run(300);
+    EXPECT_EQ(sink.fills, (std::vector<Fill>{{at(3, 0, 0), 420}}));
 }
 
 } // namespace

@@ -212,14 +212,15 @@ TEST(EngineDiff, RandomConfigsAutoMatchesPolledBitwise)
 TEST(EngineDiff, AutoEngineFlipsOnDenseWorkloadAndStaysIdentical)
 {
     EXPECT_TRUE(kScalePinned);
-    // leslie3d streams densely (near-zero skip): the auto engine must
-    // actually take its polled path here, or this test is vacuous.
+    // pr.twi keeps the core busy nearly every cycle (under 1% skip at
+    // this scale): the auto engine must actually take its polled path
+    // here, or this test is vacuous.
     DiffCase d;
-    d.mix = {findWorkload("leslie3d")};
+    d.mix = {findWorkload("pr.twi")};
     d.pf.l1 = "gaze";
     d.warmup = 2000;
     d.sim = 8000;
-    d.label = "leslie3d dense";
+    d.label = "pr.twi dense";
     RunResult ref = runCase(d, EngineKind::Polled);
     RunResult got = runCase(d, EngineKind::Auto);
     expectBitIdentical(got, ref, d.label);

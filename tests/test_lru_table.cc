@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/lru_table.hh"
 #include "common/rng.hh"
@@ -162,9 +165,19 @@ TEST(LruTableProperty, MatchesReferenceModel)
 
     struct RefSet
     {
-        // tag -> value, plus recency order (front = LRU).
+        // tag -> value, plus recency order (front = LRU) and the tag
+        // each way holds (-1 = invalid): a new tag takes the first
+        // free way, else the LRU victim's way.
         std::map<uint64_t, uint64_t> data;
         std::vector<uint64_t> order;
+        std::vector<int64_t> slot = std::vector<int64_t>(ways, -1);
+
+        /** The way holding @p from (-1: a free way) now holds @p to. */
+        void
+        place(int64_t from, int64_t to)
+        {
+            *std::find(slot.begin(), slot.end(), from) = to;
+        }
 
         void
         touch(uint64_t tag)
@@ -195,6 +208,7 @@ TEST(LruTableProperty, MatchesReferenceModel)
                 EXPECT_FALSE(evicted.has_value());
                 r.data[tag] = val;
                 r.touch(tag);
+                r.place(-1, int64_t(tag));
             } else {
                 ASSERT_TRUE(evicted.has_value());
                 uint64_t victim = r.order.front();
@@ -204,6 +218,7 @@ TEST(LruTableProperty, MatchesReferenceModel)
                 r.order.erase(r.order.begin());
                 r.data[tag] = val;
                 r.touch(tag);
+                r.place(int64_t(victim), int64_t(tag));
             }
         } else if (op == 1) { // find
             uint64_t *got = t.find(set, tag);
@@ -222,10 +237,23 @@ TEST(LruTableProperty, MatchesReferenceModel)
                 r.data.erase(tag);
                 r.order.erase(std::find(r.order.begin(), r.order.end(),
                                         tag));
+                r.place(int64_t(tag), -1);
             } else {
                 EXPECT_FALSE(got.has_value());
             }
         }
+
+        // forEachInSet visits exactly the set's valid ways, in way
+        // order.
+        std::vector<std::pair<uint64_t, uint64_t>> seen, want;
+        t.forEachInSet(set, [&](uint64_t tg, uint64_t &v) {
+            seen.emplace_back(tg, v);
+        });
+        for (int64_t tg : r.slot) {
+            if (tg >= 0)
+                want.emplace_back(uint64_t(tg), r.data[uint64_t(tg)]);
+        }
+        ASSERT_EQ(seen, want) << "step " << step;
         ASSERT_EQ(t.occupancy(),
                   ref[0].data.size() + ref[1].data.size()
                       + ref[2].data.size() + ref[3].data.size());
