@@ -14,7 +14,9 @@
 #   5. a respelled spec (non-canonical prefetcher spellings: explicit
 #      defaults, reordered options) against the warm cache is 100%
 #      cache hits with a byte-identical report — cache identity is
-#      spelling-invariant.
+#      spelling-invariant,
+#   6. a core count of 0 or 65 (above the System's 64-core bound) dies
+#      with a diagnostic (exit 1), not a panic.
 set -eu
 
 BIN=$1
@@ -97,5 +99,20 @@ echo "== compare against self"
     --out=report_cmp.json --compare=report1.json
 grep -q '"speedup_delta":0[,}]' report_cmp.json
 echo "OK: self-compare delta is exactly 0"
+
+echo "== core counts outside 1..64"
+for cores in 0 65; do
+  cat > spec_cores.json <<EOF
+{"name": "smoke_cores", "prefetchers": ["gaze"], "workloads": ["mcf"],
+ "cores": [$cores]}
+EOF
+  rc=0
+  "$BIN" run --spec=spec_cores.json --cache-dir=cache_cores --quiet \
+      > cores.txt 2>&1 || rc=$?
+  cat cores.txt
+  [ "$rc" -eq 1 ]
+  grep -q "campaign spec: core count" cores.txt
+done
+echo "OK: out-of-range core counts are diagnostics"
 
 echo "campaign_smoke: all stages passed"

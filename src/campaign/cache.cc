@@ -116,8 +116,10 @@ ResultCache::lookup(uint64_t hash, const std::string &key,
         || !countField(doc, "events_dispatched",
                        &summary.eventsDispatched)
         || !countField(doc, "cycles_executed", &summary.cyclesExecuted)
-        || !countField(doc, "cycles_skipped",
-                       &summary.cyclesSkipped)) {
+        || !countField(doc, "cycles_skipped", &summary.cyclesSkipped)
+        || !countField(doc, "instructions_retired",
+                       &summary.instructionsRetired)
+        || !countField(doc, "engine_flips", &summary.engineFlips)) {
         if (why)
             *why = file + ": malformed cell record, recomputing";
         return false;
@@ -170,7 +172,9 @@ ResultCache::store(uint64_t hash, const CellRecord &rec) const
     j.beginObject();
     j.field("schema", uint64_t(kCellSchemaVersion));
     j.field("key", rec.key);
-    j.field("ipc", rec.summary.ipc);
+    // Exact, so metrics computed from a cached record equal those of
+    // the run that produced it (gaze_sim scores its records unrounded).
+    j.key("ipc").exactValue(rec.summary.ipc);
     j.field("pf_issued", rec.summary.pfIssued);
     j.field("pf_filled", rec.summary.pfFilled);
     j.field("pf_useful", rec.summary.pfUseful);
@@ -181,6 +185,8 @@ ResultCache::store(uint64_t hash, const CellRecord &rec) const
     j.field("events_dispatched", rec.summary.eventsDispatched);
     j.field("cycles_executed", rec.summary.cyclesExecuted);
     j.field("cycles_skipped", rec.summary.cyclesSkipped);
+    j.field("instructions_retired", rec.summary.instructionsRetired);
+    j.field("engine_flips", rec.summary.engineFlips);
     j.field("minstr_per_sec", rec.summary.minstrPerSec);
     j.field("seconds", rec.seconds);
     j.key("schemes").beginArray();

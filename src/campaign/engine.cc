@@ -51,7 +51,8 @@ expandCampaignJobs(const Campaign &campaign)
 
 CellRecord
 executeCampaignJob(const RunConfig &run, const CampaignJob &job,
-                   const std::shared_ptr<BaselineCache> &baselines)
+                   const std::shared_ptr<BaselineCache> &baselines,
+                   obs::SampleSeries *samples)
 {
     obs::HostSpan cellSpan(obs::globalTrace(), "cell " + job.label);
     WallTimer cellTimer;
@@ -63,11 +64,13 @@ executeCampaignJob(const RunConfig &run, const CampaignJob &job,
     rec.key = job.key;
     rec.summary = summarize(r);
     rec.seconds = cellTimer.seconds();
+    if (samples)
+        *samples = std::move(r.obsSamples);
     return rec;
 }
 
 CampaignRunStats
-runCampaign(const Campaign &campaign, ResultCache &cache,
+runCampaign(const Campaign &campaign, ResultCache *cache,
             const CampaignRunOptions &opt)
 {
     GAZE_ASSERT(opt.shardCount >= 1, "shard count must be >= 1");
@@ -91,7 +94,8 @@ runCampaign(const Campaign &campaign, ResultCache &cache,
         }
         CellRecord cached;
         std::string why;
-        if (cache.lookup(jobs[i].hash, jobs[i].key, &cached, &why)) {
+        if (cache && cache->lookup(jobs[i].hash, jobs[i].key, &cached,
+                                   &why)) {
             ++stats.cacheHits;
             continue;
         }
@@ -120,13 +124,15 @@ runCampaign(const Campaign &campaign, ResultCache &cache,
         ThreadPool pool(stats.threadsUsed);
         for (const CampaignJob *job : toRun) {
             pool.submit([&, job] {
-                CellRecord rec =
-                    executeCampaignJob(campaign.spec.run, *job);
-                cache.store(job->hash, rec);
+                obs::SampleSeries samples;
+                CellRecord rec = executeCampaignJob(
+                    campaign.spec.run, *job, nullptr, &samples);
+                if (cache)
+                    cache->store(job->hash, rec);
                 executed.fetch_add(1, std::memory_order_relaxed);
                 progress(*job, rec.seconds);
                 if (opt.onCell)
-                    opt.onCell(*job, rec);
+                    opt.onCell(*job, rec, samples);
             });
         }
         pool.wait();

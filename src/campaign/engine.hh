@@ -5,7 +5,9 @@
  * rest on the driver thread pool — optionally only this process's
  * shard of them (--shard=i/n assigns jobs round-robin over the
  * deterministic job order, so n processes partition the work with no
- * coordination beyond the shared cache directory).
+ * coordination beyond the shared cache directory). Without a cache
+ * (gaze_sim) every job is simulated and the records reach the caller
+ * only through the completion callback.
  *
  * Execution is resumable by construction: every finished simulation
  * is atomically published to the cache before the run counts it, so
@@ -29,6 +31,7 @@
 
 #include "campaign/cache.hh"
 #include "campaign/spec.hh"
+#include "obs/sampler.hh"
 
 namespace gaze
 {
@@ -62,12 +65,15 @@ std::vector<CampaignJob> expandCampaignJobs(const Campaign &campaign);
  * Simulate one job to completion and return its cell record (the
  * caller publishes it to a ResultCache). Emits the per-cell host-time
  * span on the calling thread's track. Pass a shared @p baselines cache
- * to deduplicate baseline simulations across concurrent jobs.
+ * to deduplicate baseline simulations across concurrent jobs. A
+ * non-null @p samples receives the job's interval-sampler rows (empty
+ * unless @p run attaches a sampler); they are never part of the record.
  */
 CellRecord executeCampaignJob(const RunConfig &run,
                               const CampaignJob &job,
                               const std::shared_ptr<BaselineCache>
-                                  &baselines = nullptr);
+                                  &baselines = nullptr,
+                              obs::SampleSeries *samples = nullptr);
 
 /** Execution knobs for one campaign run. */
 struct CampaignRunOptions
@@ -84,10 +90,15 @@ struct CampaignRunOptions
 
     /**
      * Completion callback, invoked on the worker thread after each
-     * executed job has been published to the cache (cache hits and
-     * other shards' jobs do not call back). Must be thread safe.
+     * executed job, once its record is published to the cache when
+     * there is one (cache hits and other shards' jobs do not call
+     * back). The sample series holds
+     * the job's interval-sampler rows when the spec's RunConfig
+     * attaches a sampler, and is empty otherwise. Must be thread safe.
      */
-    std::function<void(const CampaignJob &, const CellRecord &)> onCell;
+    std::function<void(const CampaignJob &, const CellRecord &,
+                       const obs::SampleSeries &)>
+        onCell;
 };
 
 /** What one run did (the cache-hit accounting the tests assert on). */
@@ -104,11 +115,13 @@ struct CampaignRunStats
 
 /**
  * Execute the campaign's missing cells + baselines into @p cache.
- * Fatal on invalid shard options; I/O failures inside workers are
- * fatal (a campaign with an unwritable cache cannot make progress).
+ * A null @p cache means every job of this shard is simulated and
+ * nothing is read from or written to disk. Fatal on invalid shard
+ * options; I/O failures inside workers are fatal (a campaign with an
+ * unwritable cache cannot make progress).
  */
 CampaignRunStats runCampaign(const Campaign &campaign,
-                             ResultCache &cache,
+                             ResultCache *cache,
                              const CampaignRunOptions &opt);
 
 } // namespace gaze

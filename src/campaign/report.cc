@@ -94,30 +94,129 @@ previousSuiteSpeedups(const JsonValue &previous)
 
 } // namespace
 
+CampaignMetrics
+computeCampaignMetrics(const Campaign &campaign,
+                       const CellRecords &records)
+{
+    auto summary = [&](uint64_t hash) -> const RunSummary & {
+        auto it = records.find(hash);
+        GAZE_ASSERT(it != records.end(), "campaign job ",
+                    cellHashHex(hash), " has no record");
+        return it->second.summary;
+    };
+
+    CampaignMetrics out;
+    out.cells.reserve(campaign.cells.size());
+    for (const auto &cell : campaign.cells)
+        out.cells.push_back(computeMetrics(summary(cell.baselineHash),
+                                           summary(cell.hash)));
+
+    // Suite order: first appearance across the workload axis.
+    std::vector<std::string> suiteOrder;
+    for (const auto &w : campaign.workloads)
+        if (std::find(suiteOrder.begin(), suiteOrder.end(), w.suite)
+            == suiteOrder.end())
+            suiteOrder.push_back(w.suite);
+
+    // Cells are laid out level -> cores -> prefetcher -> workload, so
+    // each (level, cores, prefetcher) group is a run of nw cells.
+    const size_t nw = campaign.workloads.size();
+    for (size_t group = 0; group < campaign.cells.size(); group += nw) {
+        const CampaignCell &first = campaign.cells[group];
+        for (const auto &suite : suiteOrder) {
+            CampaignSuiteRow row;
+            row.prefetcher = first.prefetcher;
+            row.level = first.level;
+            row.cores = first.cores;
+            row.suite = suite;
+            std::vector<double> speedups;
+            double acc = 0.0, cov = 0.0, late = 0.0;
+            for (size_t wi = 0; wi < nw; ++wi) {
+                if (campaign.workloads[wi].suite != suite)
+                    continue;
+                const PrefetchMetrics &m = out.cells[group + wi];
+                speedups.push_back(m.speedup);
+                acc += m.accuracy;
+                cov += m.coverage;
+                late += m.lateFraction;
+            }
+            row.workloads = static_cast<uint32_t>(speedups.size());
+            row.summary.speedup = geomean(speedups);
+            row.summary.accuracy = acc / row.workloads;
+            row.summary.coverage = cov / row.workloads;
+            row.summary.lateFraction = late / row.workloads;
+            out.suites.push_back(std::move(row));
+        }
+    }
+    return out;
+}
+
+void
+writeCellMetrics(JsonWriter &j, const PrefetchMetrics &m, double ipc,
+                 double baseIpc)
+{
+    j.field("speedup", m.speedup);
+    j.field("accuracy", m.accuracy);
+    j.field("coverage", m.coverage);
+    j.field("late_fraction", m.lateFraction);
+    j.field("ipc", ipc);
+    j.field("base_ipc", baseIpc);
+    j.field("pf_issued", m.pfIssued);
+    j.field("pf_filled", m.pfFilled);
+    j.field("pf_useful", m.pfUseful);
+    j.field("pf_late", m.pfLate);
+    j.field("pf_late_load", m.pfLateLoad);
+    j.field("pf_late_rfo", m.pfLateRfo);
+    j.field("llc_miss_base", m.llcMissBase);
+    j.field("llc_miss_pf", m.llcMissPf);
+    // Per-scheme attribution (obs lifecycle tracking; empty on
+    // GAZE_OBS=OFF builds and for baselines).
+    j.key("schemes").beginArray();
+    for (const SchemeMetrics &s : m.schemes) {
+        j.beginObject();
+        j.field("name", s.name);
+        j.field("issued", s.issued);
+        j.field("filled", s.filled);
+        j.field("useful", s.useful);
+        j.field("late", s.late);
+        j.field("useless", s.useless);
+        j.field("accuracy", s.accuracy);
+        j.field("coverage", s.coverage);
+        j.field("pollution", s.pollution);
+        j.field("late_fraction", s.lateFraction);
+        j.field("avg_fill_to_use", s.avgFillToUse);
+        j.endObject();
+    }
+    j.endArray();
+}
+
 CampaignReport
 buildReport(const Campaign &campaign, const ResultCache &cache,
             const JsonValue *previous)
 {
     // Load every record first so a partial cache fails fast, naming
     // the first missing cell and the total shortfall.
-    std::map<uint64_t, CellRecord> baselineRecords;
+    CellRecords records;
     uint64_t missing = 0;
     std::string first_missing;
-    for (const auto &b : campaign.baselines) {
+    auto load = [&](uint64_t hash, const std::string &key) {
+        if (records.count(hash))
+            return true;
         CellRecord rec;
-        if (cache.lookup(b.hash, b.key, &rec)) {
-            baselineRecords.emplace(b.hash, std::move(rec));
-        } else {
+        if (!cache.lookup(hash, key, &rec))
+            return false;
+        records.emplace(hash, std::move(rec));
+        return true;
+    };
+    for (const auto &b : campaign.baselines) {
+        if (!load(b.hash, b.key)) {
             ++missing;
             if (first_missing.empty())
                 first_missing = "baseline x " + b.workload.name;
         }
     }
-    std::vector<CellRecord> cellRecords(campaign.cells.size());
-    std::vector<PrefetchMetrics> metrics(campaign.cells.size());
-    for (size_t i = 0; i < campaign.cells.size(); ++i) {
-        const CampaignCell &cell = campaign.cells[i];
-        if (!cache.lookup(cell.hash, cell.key, &cellRecords[i])) {
+    for (const auto &cell : campaign.cells) {
+        if (!load(cell.hash, cell.key)) {
             ++missing;
             if (first_missing.empty())
                 first_missing =
@@ -130,65 +229,9 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
                    "' (first: ", first_missing,
                    ") — run the campaign (all shards) first");
 
-    for (size_t i = 0; i < campaign.cells.size(); ++i) {
-        const auto &base =
-            baselineRecords.at(campaign.cells[i].baselineHash);
-        metrics[i] =
-            computeMetrics(base.summary, cellRecords[i].summary);
-    }
-
-    // Suite order: first appearance across the workload axis.
-    std::vector<std::string> suiteOrder;
-    for (const auto &w : campaign.workloads)
-        if (std::find(suiteOrder.begin(), suiteOrder.end(), w.suite)
-            == suiteOrder.end())
-            suiteOrder.push_back(w.suite);
-
-    // Cells are laid out level -> cores -> prefetcher -> workload.
-    const size_t nw = campaign.workloads.size();
-    const size_t np = campaign.spec.prefetchers.size();
+    CampaignMetrics scored = computeCampaignMetrics(campaign, records);
     CampaignReport report;
-    size_t group = 0; // index of the (level, cores, pf) block
-    for (const auto &level : campaign.spec.levels) {
-        (void)level;
-        for (uint32_t cores : campaign.spec.coreCounts) {
-            (void)cores;
-            for (size_t pi = 0; pi < np; ++pi) {
-                size_t base_idx = group * nw;
-                for (const auto &suite : suiteOrder) {
-                    CampaignSuiteRow row;
-                    const CampaignCell &first =
-                        campaign.cells[base_idx];
-                    row.prefetcher = first.prefetcher;
-                    row.level = first.level;
-                    row.cores = first.cores;
-                    row.suite = suite;
-                    std::vector<double> speedups;
-                    double acc = 0.0, cov = 0.0, late = 0.0;
-                    for (size_t wi = 0; wi < nw; ++wi) {
-                        if (campaign.workloads[wi].suite != suite)
-                            continue;
-                        const PrefetchMetrics &m =
-                            metrics[base_idx + wi];
-                        speedups.push_back(m.speedup);
-                        acc += m.accuracy;
-                        cov += m.coverage;
-                        late += m.lateFraction;
-                    }
-                    row.workloads =
-                        static_cast<uint32_t>(speedups.size());
-                    if (row.workloads == 0)
-                        continue;
-                    row.summary.speedup = geomean(speedups);
-                    row.summary.accuracy = acc / row.workloads;
-                    row.summary.coverage = cov / row.workloads;
-                    row.summary.lateFraction = late / row.workloads;
-                    report.suites.push_back(std::move(row));
-                }
-                ++group;
-            }
-        }
-    }
+    report.suites = std::move(scored.suites);
 
     // ---- JSON document (pure function of the cache content) --------
     JsonWriter j;
@@ -232,48 +275,15 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
     j.key("cells").beginArray();
     for (size_t i = 0; i < campaign.cells.size(); ++i) {
         const CampaignCell &cell = campaign.cells[i];
-        const PrefetchMetrics &m = metrics[i];
-        const CellRecord &base =
-            baselineRecords.at(cell.baselineHash);
         j.beginObject();
         j.field("prefetcher", cell.prefetcher);
         j.field("level", cell.level);
         j.field("cores", uint64_t(cell.cores));
         j.field("workload", cell.workload.name);
         j.field("suite", cell.workload.suite);
-        j.field("speedup", m.speedup);
-        j.field("accuracy", m.accuracy);
-        j.field("coverage", m.coverage);
-        j.field("late_fraction", m.lateFraction);
-        j.field("ipc", cellRecords[i].summary.ipc);
-        j.field("base_ipc", base.summary.ipc);
-        j.field("pf_issued", m.pfIssued);
-        j.field("pf_filled", m.pfFilled);
-        j.field("pf_useful", m.pfUseful);
-        j.field("pf_late", m.pfLate);
-        j.field("pf_late_load", m.pfLateLoad);
-        j.field("pf_late_rfo", m.pfLateRfo);
-        j.field("llc_miss_base", m.llcMissBase);
-        j.field("llc_miss_pf", m.llcMissPf);
-        // Per-scheme attribution (obs lifecycle tracking; empty on
-        // GAZE_OBS=OFF builds and for records predating schema v4).
-        j.key("schemes").beginArray();
-        for (const SchemeMetrics &s : m.schemes) {
-            j.beginObject();
-            j.field("name", s.name);
-            j.field("issued", s.issued);
-            j.field("filled", s.filled);
-            j.field("useful", s.useful);
-            j.field("late", s.late);
-            j.field("useless", s.useless);
-            j.field("accuracy", s.accuracy);
-            j.field("coverage", s.coverage);
-            j.field("pollution", s.pollution);
-            j.field("late_fraction", s.lateFraction);
-            j.field("avg_fill_to_use", s.avgFillToUse);
-            j.endObject();
-        }
-        j.endArray();
+        writeCellMetrics(j, scored.cells[i],
+                         records.at(cell.hash).summary.ipc,
+                         records.at(cell.baselineHash).summary.ipc);
         j.field("cell", cellHashHex(cell.hash));
         j.field("baseline", cellHashHex(cell.baselineHash));
         j.endObject();

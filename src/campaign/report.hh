@@ -8,6 +8,11 @@
  * therefore bitwise identical across reruns, shard layouts, and
  * processes. No wall-clock or host data appears in the report.
  *
+ * The metric math and the per-cell metric fields are shared with
+ * gaze_sim, which scores the records a cache-less run hands back
+ * (computeCampaignMetrics, writeCellMetrics), so the two documents
+ * agree field for field.
+ *
  * When a previous report is supplied (--compare), a "compare" section
  * is appended with per-suite speedup deltas against it.
  */
@@ -15,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -36,6 +42,35 @@ struct CampaignSuiteRow
     uint32_t workloads = 0;
     SuiteSummary summary;
 };
+
+/** Finished job records of one campaign, keyed by cell hash. */
+using CellRecords = std::map<uint64_t, CellRecord>;
+
+/** The paper's metrics over a campaign's records. */
+struct CampaignMetrics
+{
+    std::vector<PrefetchMetrics> cells;   ///< parallel to Campaign::cells
+    std::vector<CampaignSuiteRow> suites; ///< level, cores, pf, suite order
+};
+
+/**
+ * Score every cell of @p campaign against its baseline and aggregate
+ * the suite rows (geomean speedup, mean accuracy/coverage/late
+ * fraction, suites in first-appearance order). Every cell and
+ * baseline must have a record in @p records.
+ */
+CampaignMetrics computeCampaignMetrics(const Campaign &campaign,
+                                       const CellRecords &records);
+
+class JsonWriter;
+
+/**
+ * Write one cell's metric fields into the JSON object the caller has
+ * open: speedup, accuracy, coverage, late_fraction, ipc, base_ipc, the
+ * pf_* and llc_miss_* counters, and the per-scheme "schemes" array.
+ */
+void writeCellMetrics(JsonWriter &j, const PrefetchMetrics &m,
+                      double ipc, double baseIpc);
 
 /** The rendered aggregate outputs. */
 struct CampaignReport
@@ -67,8 +102,6 @@ struct CampaignCacheStatus
 
 CampaignCacheStatus campaignStatus(const Campaign &campaign,
                                    const ResultCache &cache);
-
-class JsonWriter;
 
 /**
  * Append the machine-readable status fields shared by `gaze_campaign

@@ -34,6 +34,18 @@ stringArray(const JsonValue &v, const char *what)
     return out;
 }
 
+/** Empty when a System can have @p n cores, else why not. */
+std::string
+coreCountProblem(uint64_t n)
+{
+    if (n < 1)
+        return "core count must be >= 1";
+    if (n > kMaxCores)
+        return "core count " + std::to_string(n) + " exceeds the "
+               + std::to_string(kMaxCores) + "-core limit";
+    return "";
+}
+
 } // namespace
 
 CampaignSpec
@@ -64,15 +76,10 @@ parseCampaignSpec(const JsonValue &root)
                 GAZE_FATAL("campaign spec: \"cores\" must be a "
                            "non-empty array of core counts");
             spec.coreCounts.clear();
-            for (const auto &item : v.items()) {
-                uint64_t n = item.asCount("campaign spec: cores entry",
-                                          256);
-                if (n < 1)
-                    GAZE_FATAL("campaign spec: cores entry must be "
-                               ">= 1");
-                spec.coreCounts.push_back(
-                    static_cast<uint32_t>(n));
-            }
+            for (const auto &item : v.items())
+                spec.coreCounts.push_back(static_cast<uint32_t>(
+                    item.asCount("campaign spec: cores entry",
+                                 UINT32_MAX)));
         } else if (key == "warmup") {
             spec.run.warmupInstr =
                 v.asCount("campaign spec: warmup");
@@ -89,10 +96,24 @@ parseCampaignSpec(const JsonValue &root)
         }
     }
 
+    validateCampaignSpec(spec, "campaign spec");
+    return spec;
+}
+
+void
+validateCampaignSpec(CampaignSpec &spec, const char *who)
+{
     if (spec.name.empty())
-        GAZE_FATAL("campaign spec: missing required \"name\"");
+        GAZE_FATAL(who, ": missing required \"name\"");
     if (spec.prefetchers.empty())
-        GAZE_FATAL("campaign spec: missing required \"prefetchers\"");
+        GAZE_FATAL(who, ": missing required \"prefetchers\"");
+    if (spec.levels.empty() || spec.coreCounts.empty())
+        GAZE_FATAL(who, ": the level and core axes must not be empty");
+    for (uint32_t n : spec.coreCounts) {
+        std::string problem = coreCountProblem(n);
+        if (!problem.empty())
+            GAZE_FATAL(who, ": ", problem);
+    }
 
     // Resolve every axis entry against its registry now, so a typo
     // dies with a clear message before any simulation or cache I/O —
@@ -104,15 +125,13 @@ parseCampaignSpec(const JsonValue &root)
     // to one axis entry, one set of cells and one cache address, and
     // the report labels are spelling-invariant. First spelling wins
     // the axis position.
-    spec.prefetchers =
-        canonicalizeSpecList(spec.prefetchers, "campaign spec");
+    spec.prefetchers = canonicalizeSpecList(spec.prefetchers, who);
     for (const auto &level : spec.levels)
         pfSpecAt("none", level);
     for (const auto &w : spec.workloadNames)
         findWorkload(w);
     for (const auto &s : spec.suites)
         suiteWorkloads(s);
-    return spec;
 }
 
 Campaign
@@ -357,11 +376,12 @@ checkCampaignSpecDoc(const JsonValue &root)
                 return "campaign spec: \"cores\" must be a non-empty "
                        "array of core counts";
             for (const auto &item : v.items()) {
-                err = checkCount(item, "cores entry", 256);
+                err = checkCount(item, "cores entry", UINT32_MAX);
+                if (err.empty())
+                    err = coreCountProblem(
+                        static_cast<uint64_t>(item.asNumber()));
                 if (!err.empty())
                     return "campaign spec: " + err;
-                if (item.asNumber() < 1)
-                    return "campaign spec: cores entry must be >= 1";
             }
         } else if (key == "warmup" || key == "sim") {
             err = checkCount(v, key.c_str(),

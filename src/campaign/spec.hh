@@ -20,7 +20,7 @@
  *     "suites": ["spec06", ...],       // default: the five main suites
  *     "workloads": ["mcf", ...],       // overrides "suites"
  *     "levels": ["l1"],                // default ["l1"]; "l1"/"l2"
- *     "cores": [1, 4],                 // default [1]
+ *     "cores": [1, 4],                 // default [1]; 1..kMaxCores
  *     "warmup": 200000,                // optional; 0 = scale default
  *     "sim": 400000,                   // optional; 0 = scale default
  *     "trace_dir": "traces"            // optional .gzt replay dir
@@ -94,6 +94,16 @@ struct Campaign
  * or malformed values — a campaign must never silently drop an axis.
  */
 CampaignSpec parseCampaignSpec(const JsonValue &root);
+
+/**
+ * The axis validation every front end that builds a CampaignSpec
+ * runs (parseCampaignSpec, gaze_sim's flag parser). Fatal on a missing
+ * name or prefetcher axis, an empty level or core axis, a core count
+ * outside 1..kMaxCores, or a prefetcher, level, suite or workload the
+ * registries do not know; canonicalizes the prefetcher axis in place.
+ * @p who prefixes the diagnostics ("campaign spec", "gaze_sim").
+ */
+void validateCampaignSpec(CampaignSpec &spec, const char *who);
 
 /**
  * Non-fatal preflight of @p root: empty string when parseCampaignSpec

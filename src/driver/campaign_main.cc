@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "campaign/engine.hh"
 #include "campaign/report.hh"
 #include "campaign/spec.hh"
-#include "common/log.hh"
 #include "driver/cli.hh"
 #include "harness/export.hh"
 #include "obs/trace.hh"
@@ -27,18 +25,6 @@ namespace
 {
 
 using namespace gaze;
-
-void
-writeText(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        GAZE_FATAL("cannot create '", path, "'");
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close();
-    if (!out)
-        GAZE_FATAL("write failed on '", path, "'");
-}
 
 /** Aggregate + write the JSON (and optional CSV) report. */
 void
@@ -62,7 +48,7 @@ emitReport(const Campaign &campaign, const ResultCache &cache,
         opt.outPath.empty() ? doc.write() : doc.writeTo(opt.outPath);
     std::printf("report: %s\n", path.c_str());
     if (!opt.csvPath.empty()) {
-        writeText(opt.csvPath, report.csv);
+        writeTextFile(opt.csvPath, report.csv);
         std::printf("csv: %s\n", opt.csvPath.c_str());
     }
 }
@@ -93,7 +79,7 @@ cmdRun(const GazeCampaignOptions &opt)
                 campaign.baselines.size(), opt.cacheDir.c_str(),
                 opt.shardCount > 1 ? ", sharded" : "");
 
-    CampaignRunStats stats = runCampaign(campaign, cache, run_opt);
+    CampaignRunStats stats = runCampaign(campaign, &cache, run_opt);
     if (traceSink) {
         obs::setGlobalTrace(nullptr);
         traceSink->writeTo(opt.obsTracePath);

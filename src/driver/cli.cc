@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/log.hh"
-#include "prefetchers/registry.hh"
 
 namespace gaze
 {
@@ -16,7 +15,9 @@ const char *gazeSimUsageText =
     "\n"
     "Runs a prefetcher x workload matrix in parallel (one simulated\n"
     "System per cell plus one shared no-prefetch baseline per\n"
-    "workload) and writes every cell's metrics as JSON.\n"
+    "workload) and writes every cell's metrics as JSON. It is the\n"
+    "campaign engine without a result cache: every run simulates\n"
+    "every cell (gaze_campaign caches and shards).\n"
     "\n"
     "options:\n"
     "  --prefetchers=a,b,...  factory specs (default: ip_stride,gaze)\n"
@@ -27,7 +28,8 @@ const char *gazeSimUsageText =
     "                         (recorded by gaze_trace) instead of\n"
     "                         regenerating them\n"
     "  --level=l1|l2          prefetcher attach level (default: l1)\n"
-    "  --cores=N              homogeneous cores per cell (default: 1)\n"
+    "  --cores=N              homogeneous cores per cell, 1..64\n"
+    "                         (default: 1)\n"
     "  --threads=N            worker threads (default: hardware)\n"
     "  --engine=polled|auto (default: auto)\n"
     "                         simulation engine: auto skips idle\n"
@@ -188,11 +190,11 @@ splitFlag(const std::string &arg, std::string *key, std::string *val)
     }
 }
 
-std::vector<WorkloadDef>
-expandWorkloads(const std::vector<std::string> &workload_names,
-                bool workloads_given,
-                const std::vector<std::string> &suite_names,
-                bool suites_given, const char *cli)
+void
+requireNonEmptyLists(const std::vector<std::string> &workload_names,
+                     bool workloads_given,
+                     const std::vector<std::string> &suite_names,
+                     bool suites_given, const char *cli)
 {
     // An explicitly empty list is a mistake (often a script with an
     // unset variable), not a request for the default matrix.
@@ -200,6 +202,16 @@ expandWorkloads(const std::vector<std::string> &workload_names,
         GAZE_FATAL(cli, ": --workloads needs at least one name");
     if (suites_given && suite_names.empty())
         GAZE_FATAL(cli, ": --suites needs at least one suite");
+}
+
+std::vector<WorkloadDef>
+expandWorkloads(const std::vector<std::string> &workload_names,
+                bool workloads_given,
+                const std::vector<std::string> &suite_names,
+                bool suites_given, const char *cli)
+{
+    requireNonEmptyLists(workload_names, workloads_given, suite_names,
+                         suites_given, cli);
 
     std::vector<WorkloadDef> out;
     if (!workload_names.empty()) {
@@ -267,11 +279,11 @@ GazeSimOptions
 parseGazeSimArgs(const std::vector<std::string> &args)
 {
     GazeSimOptions opt;
-    opt.spec.prefetchers = {"ip_stride", "gaze"};
-    opt.spec.verbose = true;
+    CampaignSpec &spec = opt.spec;
+    spec.name = "gaze_sim";
+    spec.prefetchers = {"ip_stride", "gaze"};
 
-    std::vector<std::string> suites;
-    std::vector<std::string> workloadNames;
+    uint64_t obsInterval = 4096;
     bool suitesGiven = false, workloadsGiven = false;
 
     for (const auto &arg : args) {
@@ -296,49 +308,49 @@ parseGazeSimArgs(const std::vector<std::string> &args)
                            "=json, got '", val, "'");
             return opt;
         } else if (key == "--quiet") {
-            opt.spec.verbose = false;
+            opt.verbose = false;
         } else if (key == "--prefetchers") {
-            opt.spec.prefetchers = splitList(val);
+            spec.prefetchers = splitList(val);
         } else if (key == "--suites") {
-            suites = splitList(val);
+            spec.suites = splitList(val);
             suitesGiven = true;
         } else if (key == "--workloads") {
-            workloadNames = splitList(val);
+            spec.workloadNames = splitList(val);
             workloadsGiven = true;
         } else if (key == "--trace-dir") {
             if (val.empty())
                 GAZE_FATAL("--trace-dir needs a directory");
-            opt.spec.traceDir = val;
+            spec.traceDir = val;
         } else if (key == "--level") {
-            opt.spec.level = val;
+            spec.levels = {val};
         } else if (key == "--cores") {
-            opt.spec.cores =
-                static_cast<uint32_t>(parseCount(key, val, 256));
+            spec.coreCounts = {
+                static_cast<uint32_t>(parseCount(key, val, UINT32_MAX))};
         } else if (key == "--threads") {
-            opt.spec.threads =
+            opt.threads =
                 static_cast<uint32_t>(parseCount(key, val, 4096));
         } else if (key == "--engine") {
-            opt.spec.run.system.engine = parseEngineKind(val);
+            spec.run.system.engine = parseEngineKind(val);
         } else if (key == "--engine-stats") {
             opt.engineStats = true;
         } else if (key == "--obs-timeline") {
             if (val.empty())
                 GAZE_FATAL("--obs-timeline needs a file path");
-            opt.spec.obsTimelinePath = val;
+            opt.obsTimelinePath = val;
         } else if (key == "--obs-trace") {
             if (val.empty())
                 GAZE_FATAL("--obs-trace needs a file path");
-            opt.spec.obsTracePath = val;
+            opt.obsTracePath = val;
         } else if (key == "--obs-interval") {
-            opt.spec.obsInterval = parseCount(key, val);
-            if (opt.spec.obsInterval == 0)
+            obsInterval = parseCount(key, val);
+            if (obsInterval == 0)
                 GAZE_FATAL("--obs-interval must be >= 1");
         } else if (key == "--warmup") {
-            opt.spec.run.warmupInstr = parseCount(key, val);
+            spec.run.warmupInstr = parseCount(key, val);
         } else if (key == "--sim") {
-            opt.spec.run.simInstr = parseCount(key, val);
+            spec.run.simInstr = parseCount(key, val);
         } else if (key == "--name") {
-            opt.spec.name = val;
+            spec.name = val;
         } else if (key == "--out") {
             opt.outPath = val;
         } else {
@@ -347,22 +359,13 @@ parseGazeSimArgs(const std::vector<std::string> &args)
         }
     }
 
-    if (opt.spec.prefetchers.empty())
+    if (spec.prefetchers.empty())
         GAZE_FATAL("--prefetchers needs at least one spec");
-    // Canonicalize (and thereby reject bad specs) at parse time, on
-    // the calling thread. Two spellings of the same variant collapse
-    // to one matrix row instead of simulating — and labeling — the
-    // same cell twice.
-    opt.spec.prefetchers =
-        canonicalizeSpecList(opt.spec.prefetchers, "--prefetchers");
-
-    opt.spec.workloads = expandWorkloads(workloadNames, workloadsGiven,
-                                         suites, suitesGiven,
-                                         "gaze_sim");
-    if (!opt.spec.traceDir.empty())
-        opt.spec.workloads =
-            withTraceDir(std::move(opt.spec.workloads),
-                         opt.spec.traceDir);
+    requireNonEmptyLists(spec.workloadNames, workloadsGiven,
+                         spec.suites, suitesGiven, "gaze_sim");
+    if (!opt.obsTimelinePath.empty())
+        spec.run.obs.samplerInterval = obsInterval;
+    validateCampaignSpec(spec, "gaze_sim");
     return opt;
 }
 

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "driver/driver.hh"
+#include "campaign/spec.hh"
 #include "workloads/suites.hh"
 
 namespace gaze
@@ -31,8 +31,17 @@ struct GazeSimOptions
         Json  ///< one machine-readable JSON document
     };
 
-    MatrixSpec spec;
+    /**
+     * The matrix as a campaign: --level and --cores are one-entry
+     * axes; the phase lengths, the engine and the --obs-timeline
+     * sampler interval live in spec.run.
+     */
+    CampaignSpec spec;
+    uint32_t threads = 0;   ///< --threads; 0 = hardware concurrency
+    bool verbose = true;    ///< per-job progress on stderr (--quiet)
     std::string outPath;    ///< --out; empty = default BENCH path
+    std::string obsTimelinePath; ///< --obs-timeline CSV; empty = off
+    std::string obsTracePath;    ///< --obs-trace JSON; empty = off
     bool showHelp = false;  ///< --help: print usage, run nothing
     bool showList = false;  ///< --list: print registries, run nothing
 
@@ -44,11 +53,11 @@ struct GazeSimOptions
 };
 
 /**
- * Parse gaze_sim flags (argv without the program name). Expands
- * --suites/--workloads into WorkloadDefs, rebinds them to recorded
- * traces when --trace-dir is given, and canonicalizes every
- * prefetcher spec against the registry (equivalent spellings collapse
- * to one matrix row). Fatal on any malformed or unknown argument.
+ * Parse gaze_sim flags (argv without the program name) into a
+ * campaign spec, checked by the same axis validation as a spec file
+ * (validateCampaignSpec: registry names, core-count bound, prefetcher
+ * canonicalization). Expansion, including --trace-dir rebinding, is
+ * left to expandCampaign. Fatal on any malformed or unknown argument.
  */
 GazeSimOptions parseGazeSimArgs(const std::vector<std::string> &args);
 

@@ -1,20 +1,16 @@
 #include "driver/driver.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
-#include "common/log.hh"
-#include "driver/thread_pool.hh"
-#include "obs/trace.hh"
-#include "prefetchers/registry.hh"
+#include "driver/cli.hh"
 #include "harness/export.hh"
-#include "harness/wallclock.hh"
 #include "harness/table.hh"
+#include "obs/trace.hh"
 
 namespace gaze
 {
@@ -22,23 +18,38 @@ namespace
 {
 
 /**
- * Combined --obs-timeline document: every cell's sampler rows, each
+ * Combined --obs-timeline document: every job's sampler rows, each
  * prefixed with the (prefetcher, workload) cell identity so one CSV
- * holds the whole matrix. Deterministic: cells in matrix order,
- * columns in registry (name-sorted) order.
+ * holds the whole matrix. Deterministic: baselines ("none") first,
+ * then cells in matrix order, each job once; columns in registry
+ * (name-sorted) order.
  */
 std::string
-timelineCsv(const MatrixSpec &spec,
-            const std::vector<RunResult> &baselines,
-            const std::vector<RunResult> &runs)
+timelineCsv(const Campaign &campaign,
+            const std::map<uint64_t, obs::SampleSeries> &timelines)
 {
+    std::vector<std::pair<std::string, std::string>> labels;
+    std::vector<uint64_t> order;
+    std::set<uint64_t> listed;
+    for (const auto &b : campaign.baselines)
+        if (listed.insert(b.hash).second) {
+            labels.emplace_back("none", b.workload.name);
+            order.push_back(b.hash);
+        }
+    for (const auto &cell : campaign.cells)
+        if (listed.insert(cell.hash).second) {
+            labels.emplace_back(cell.prefetcher, cell.workload.name);
+            order.push_back(cell.hash);
+        }
+
     const obs::SampleSeries *first = nullptr;
-    for (const auto &r : baselines)
-        if (!first && !r.obsSamples.names.empty())
-            first = &r.obsSamples;
-    for (const auto &r : runs)
-        if (!first && !r.obsSamples.names.empty())
-            first = &r.obsSamples;
+    for (uint64_t hash : order) {
+        auto it = timelines.find(hash);
+        if (it != timelines.end() && !it->second.names.empty()) {
+            first = &it->second;
+            break;
+        }
+    }
 
     std::string csv = "prefetcher,workload,cycle";
     if (first)
@@ -48,12 +59,14 @@ timelineCsv(const MatrixSpec &spec,
         }
     csv += '\n';
 
-    auto append = [&](const std::string &pf, const std::string &w,
-                      const obs::SampleSeries &s) {
-        for (const auto &row : s.rows) {
-            csv += pf;
+    for (size_t i = 0; i < order.size(); ++i) {
+        auto it = timelines.find(order[i]);
+        if (it == timelines.end())
+            continue;
+        for (const auto &row : it->second.rows) {
+            csv += labels[i].first;
             csv += ',';
-            csv += w;
+            csv += labels[i].second;
             csv += ',';
             csv += std::to_string(row.cycle);
             for (uint64_t v : row.values) {
@@ -62,230 +75,92 @@ timelineCsv(const MatrixSpec &spec,
             }
             csv += '\n';
         }
-    };
-    const size_t nw = spec.workloads.size();
-    for (size_t wi = 0; wi < nw; ++wi)
-        append("none", spec.workloads[wi].name,
-               baselines[wi].obsSamples);
-    for (size_t pi = 0; pi < spec.prefetchers.size(); ++pi)
-        for (size_t wi = 0; wi < nw; ++wi)
-            append(spec.prefetchers[pi], spec.workloads[wi].name,
-                   runs[pi * nw + wi].obsSamples);
+    }
     return csv;
 }
 
-void
-writeTextFile(const std::string &path, const std::string &text)
+double
+skipFraction(uint64_t executed, uint64_t skipped)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        GAZE_FATAL("cannot create '", path, "'");
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    out.close();
-    if (!out)
-        GAZE_FATAL("write failed on '", path, "'");
+    uint64_t cycles = executed + skipped;
+    return cycles ? double(skipped) / double(cycles) : 0.0;
 }
 
 } // namespace
 
-MatrixResult
-runMatrix(const MatrixSpec &spec)
+GazeSimRun
+runGazeSim(Campaign campaign, const GazeSimOptions &opt)
 {
-    GAZE_ASSERT(!spec.prefetchers.empty(), "matrix needs a prefetcher axis");
-    GAZE_ASSERT(!spec.workloads.empty(), "matrix needs a workload axis");
-    GAZE_ASSERT(spec.cores >= 1, "matrix needs at least one core per cell");
-    // Validate the level and every factory spec up front so a bad
-    // flag fails before any simulation time is spent (and on the
-    // calling thread, not inside a pool worker). Resolution also
-    // validates each spec against its registry schema without paying
-    // for a construction.
-    pfSpecAt("none", spec.level);
-    for (const auto &p : spec.prefetchers)
-        resolvePrefetcherSpec(p);
-
-    const size_t nw = spec.workloads.size();
-    const size_t np = spec.prefetchers.size();
-    const size_t jobs = nw + np * nw;
-
-    WallTimer matrixTimer;
-
-    std::vector<RunResult> baselines(nw);
-    std::vector<RunResult> runs(np * nw);
-    std::vector<double> cellSeconds(np * nw, 0.0);
-
-    std::mutex progressMtx;
-    size_t finished = 0;
-    auto progress = [&](const std::string &pf, const std::string &w,
-                        double secs) {
-        if (!spec.verbose)
-            return;
-        std::unique_lock<std::mutex> lock(progressMtx);
-        ++finished;
-        std::fprintf(stderr, "[%zu/%zu] %s x %s (%.1fs)\n", finished,
-                     jobs, pf.c_str(), w.c_str(), secs);
-    };
-
-    // One cell = one fresh System, fully independent of every other
-    // cell, so the pool needs no synchronization beyond the pointers
-    // into the pre-sized result vectors. Baselines additionally go
-    // through the shared thread-safe cache so any future consumer of
-    // these Runners (campaign engine, evaluate paths) deduplicates
-    // against them instead of re-simulating.
-    auto sharedBaselines = std::make_shared<BaselineCache>();
-
-    // Observability: the matrix owns the trace sink; every cell's
-    // Runner gets the same ObsConfig (excluded from cell identity).
+    // Observability: the run owns the trace sink; every job's Runner
+    // reaches it through the spec's RunConfig, which is no part of any
+    // cell's identity.
     std::unique_ptr<obs::TraceSink> traceSink;
-    if (!spec.obsTracePath.empty()) {
+    if (!opt.obsTracePath.empty()) {
         traceSink = std::make_unique<obs::TraceSink>();
         obs::setGlobalTrace(traceSink.get());
+        campaign.spec.run.obs.trace = traceSink.get();
     }
-    RunConfig cellRun = spec.run;
-    cellRun.obs.trace = traceSink.get();
-    cellRun.obs.samplerInterval =
-        spec.obsTimelinePath.empty() ? 0 : spec.obsInterval;
 
-    std::atomic<uint64_t> totalInstr{0}, totalEvents{0};
-    std::atomic<uint64_t> totalExecuted{0}, totalSkipped{0};
-    std::atomic<uint64_t> totalFlips{0};
-    auto runCell = [&](const WorkloadDef &w, const PfSpec &pf,
-                       RunResult *out, double *secs) {
-        obs::HostSpan cellSpan(
-            obs::globalTrace(),
-            "cell " + (pf.isNone() ? "baseline" : pf.label()) + " x "
-                + w.name);
-        WallTimer cellTimer;
-        Runner runner(cellRun, sharedBaselines);
-        std::vector<WorkloadDef> mix(spec.cores, w);
-        *out = pf.isNone() ? runner.baselineMix(mix)
-                           : runner.runMix(mix, pf);
-        double dt = cellTimer.seconds();
-        if (secs)
-            *secs = dt;
-        totalInstr.fetch_add(out->instructionsRetired,
-                             std::memory_order_relaxed);
-        totalEvents.fetch_add(out->engine.eventsDispatched,
-                              std::memory_order_relaxed);
-        totalExecuted.fetch_add(out->engine.cyclesExecuted,
-                                std::memory_order_relaxed);
-        totalSkipped.fetch_add(out->engine.cyclesSkipped,
-                               std::memory_order_relaxed);
-        totalFlips.fetch_add(out->engine.engineFlips,
-                             std::memory_order_relaxed);
-        progress(pf.isNone() ? "baseline" : pf.label(), w.name, dt);
+    GazeSimRun run;
+    std::map<uint64_t, obs::SampleSeries> timelines;
+    std::mutex collectMtx;
+    CampaignRunOptions runOpt;
+    runOpt.threads = opt.threads;
+    runOpt.verbose = opt.verbose;
+    runOpt.onCell = [&](const CampaignJob &job, const CellRecord &rec,
+                        const obs::SampleSeries &samples) {
+        std::lock_guard<std::mutex> lock(collectMtx);
+        run.records.emplace(job.hash, rec);
+        if (!opt.obsTimelinePath.empty())
+            timelines.emplace(job.hash, samples);
     };
+    run.stats = runCampaign(campaign, nullptr, runOpt);
 
-    MatrixResult result;
-    result.threadsUsed = resolvePoolThreads(spec.threads, jobs);
-    {
-        ThreadPool pool(result.threadsUsed);
-        for (size_t wi = 0; wi < nw; ++wi) {
-            pool.submit([&, wi] {
-                runCell(spec.workloads[wi], PfSpec{}, &baselines[wi],
-                        nullptr);
-            });
-        }
-        for (size_t pi = 0; pi < np; ++pi) {
-            PfSpec pf = pfSpecAt(spec.prefetchers[pi], spec.level);
-            for (size_t wi = 0; wi < nw; ++wi) {
-                size_t cell = pi * nw + wi;
-                pool.submit([&, pf, cell, wi] {
-                    runCell(spec.workloads[wi], pf, &runs[cell],
-                            &cellSeconds[cell]);
-                });
-            }
-        }
-        pool.wait();
-    }
-
-    // Publish the obs artifacts before results are picked apart; the
-    // global host-span hook must come down before the sink dies.
-    if (traceSink)
+    // Publish the obs artifacts; the global host-span hook must come
+    // down before the sink dies.
+    if (traceSink) {
         obs::setGlobalTrace(nullptr);
-    if (!spec.obsTimelinePath.empty())
-        writeTextFile(spec.obsTimelinePath,
-                      timelineCsv(spec, baselines, runs));
+        campaign.spec.run.obs.trace = nullptr;
+    }
+    if (!opt.obsTimelinePath.empty())
+        writeTextFile(opt.obsTimelinePath,
+                      timelineCsv(campaign, timelines));
     if (traceSink)
-        traceSink->writeTo(spec.obsTracePath);
+        traceSink->writeTo(opt.obsTracePath);
 
-    result.cells.reserve(np * nw);
-    for (size_t pi = 0; pi < np; ++pi) {
-        for (size_t wi = 0; wi < nw; ++wi) {
-            size_t idx = pi * nw + wi;
-            CellOutcome c;
-            c.prefetcher = spec.prefetchers[pi];
-            c.workload = spec.workloads[wi].name;
-            c.suite = spec.workloads[wi].suite;
-            c.metrics = computeMetrics(baselines[wi], runs[idx]);
-            c.ipc = runs[idx].ipc();
-            c.baseIpc = baselines[wi].ipc();
-            c.seconds = cellSeconds[idx];
-            c.eventsDispatched = runs[idx].engine.eventsDispatched;
-            c.cyclesExecuted = runs[idx].engine.cyclesExecuted;
-            c.cyclesSkipped = runs[idx].engine.cyclesSkipped;
-            c.minstrPerSec = runs[idx].minstrPerSec();
-            result.cells.push_back(std::move(c));
-        }
+    for (const auto &entry : run.records) {
+        const RunSummary &s = entry.second.summary;
+        run.totalInstructions += s.instructionsRetired;
+        run.totalEvents += s.eventsDispatched;
+        run.totalCyclesExecuted += s.cyclesExecuted;
+        run.totalCyclesSkipped += s.cyclesSkipped;
+        run.totalEngineFlips += s.engineFlips;
     }
-
-    // Suite aggregation, in each suite's order of first appearance.
-    std::vector<std::string> order;
-    for (size_t wi = 0; wi < nw; ++wi) {
-        const std::string &s = spec.workloads[wi].suite;
-        if (std::find(order.begin(), order.end(), s) == order.end())
-            order.push_back(s);
-    }
-    for (size_t pi = 0; pi < np; ++pi) {
-        for (const auto &suite : order) {
-            SuiteOutcome so;
-            so.prefetcher = spec.prefetchers[pi];
-            so.suite = suite;
-            std::vector<double> speedups;
-            double acc = 0.0, cov = 0.0, late = 0.0;
-            for (size_t wi = 0; wi < nw; ++wi) {
-                if (spec.workloads[wi].suite != suite)
-                    continue;
-                const PrefetchMetrics &m =
-                    result.cells[pi * nw + wi].metrics;
-                speedups.push_back(m.speedup);
-                acc += m.accuracy;
-                cov += m.coverage;
-                late += m.lateFraction;
-            }
-            so.workloads = static_cast<uint32_t>(speedups.size());
-            so.summary.speedup = geomean(speedups);
-            so.summary.accuracy = acc / double(so.workloads);
-            so.summary.coverage = cov / double(so.workloads);
-            so.summary.lateFraction = late / double(so.workloads);
-            result.suites.push_back(std::move(so));
-        }
-    }
-
-    result.engine = engineKindName(spec.run.system.engine);
-    result.totalInstructions = totalInstr.load();
-    result.totalEvents = totalEvents.load();
-    result.totalCyclesExecuted = totalExecuted.load();
-    result.totalCyclesSkipped = totalSkipped.load();
-    result.totalEngineFlips = totalFlips.load();
-    result.seconds = matrixTimer.seconds();
-    return result;
+    run.metrics = computeCampaignMetrics(campaign, run.records);
+    run.campaign = std::move(campaign);
+    return run;
 }
 
 std::string
-matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
+gazeSimJson(const GazeSimRun &run)
 {
+    const Campaign &campaign = run.campaign;
+    const CampaignSpec &spec = campaign.spec;
+    const char *engine = engineKindName(spec.run.system.engine);
+
     JsonWriter j;
     j.beginObject();
     j.field("experiment", spec.name);
 
+    // gaze_sim's level and core axes have one entry each.
     j.key("config").beginObject();
     j.field("scale", simScale());
     j.field("warmup_instructions", spec.run.effectiveWarmup());
     j.field("sim_instructions", spec.run.effectiveSim());
-    j.field("cores", uint64_t(spec.cores));
-    j.field("level", spec.level);
-    j.field("threads", uint64_t(result.threadsUsed));
-    j.field("engine", result.engine);
+    j.field("cores", uint64_t(spec.coreCounts.front()));
+    j.field("level", spec.levels.front());
+    j.field("threads", uint64_t(run.stats.threadsUsed));
+    j.field("engine", engine);
     // Wall-clock throughput fields are only comparable between runs
     // on a like host; record the machine class alongside them.
     // gaze-lint: allow(raw-thread): hardware_concurrency() query
@@ -306,7 +181,7 @@ matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
     j.endArray();
 
     j.key("workloads").beginArray();
-    for (const auto &w : spec.workloads) {
+    for (const auto &w : campaign.workloads) {
         j.beginObject();
         j.field("name", w.name);
         j.field("suite", w.suite);
@@ -319,62 +194,35 @@ matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
     j.endArray();
 
     j.key("cells").beginArray();
-    for (const auto &c : result.cells) {
+    for (size_t i = 0; i < campaign.cells.size(); ++i) {
+        const CampaignCell &cell = campaign.cells[i];
+        const CellRecord &rec = run.records.at(cell.hash);
+        const RunSummary &s = rec.summary;
         j.beginObject();
-        j.field("prefetcher", c.prefetcher);
-        j.field("workload", c.workload);
-        j.field("suite", c.suite);
-        j.field("speedup", c.metrics.speedup);
-        j.field("accuracy", c.metrics.accuracy);
-        j.field("coverage", c.metrics.coverage);
-        j.field("late_fraction", c.metrics.lateFraction);
-        j.field("ipc", c.ipc);
-        j.field("base_ipc", c.baseIpc);
-        j.field("pf_issued", c.metrics.pfIssued);
-        j.field("pf_filled", c.metrics.pfFilled);
-        j.field("pf_useful", c.metrics.pfUseful);
-        j.field("pf_late", c.metrics.pfLate);
-        j.field("pf_late_load", c.metrics.pfLateLoad);
-        j.field("pf_late_rfo", c.metrics.pfLateRfo);
-        j.field("llc_miss_base", c.metrics.llcMissBase);
-        j.field("llc_miss_pf", c.metrics.llcMissPf);
-        // Per-scheme lifecycle attribution (empty when GAZE_OBS=OFF).
-        j.key("schemes").beginArray();
-        for (const SchemeMetrics &s : c.metrics.schemes) {
-            j.beginObject();
-            j.field("name", s.name);
-            j.field("issued", s.issued);
-            j.field("filled", s.filled);
-            j.field("useful", s.useful);
-            j.field("late", s.late);
-            j.field("useless", s.useless);
-            j.field("accuracy", s.accuracy);
-            j.field("coverage", s.coverage);
-            j.field("pollution", s.pollution);
-            j.field("late_fraction", s.lateFraction);
-            j.field("avg_fill_to_use", s.avgFillToUse);
-            j.endObject();
-        }
-        j.endArray();
-        j.field("seconds", c.seconds);
-        j.field("events_dispatched", c.eventsDispatched);
-        j.field("cycles_executed", c.cyclesExecuted);
-        j.field("cycles_skipped", c.cyclesSkipped);
-        j.field("minstr_per_sec", c.minstrPerSec);
+        j.field("prefetcher", cell.prefetcher);
+        j.field("workload", cell.workload.name);
+        j.field("suite", cell.workload.suite);
+        writeCellMetrics(j, run.metrics.cells[i], s.ipc,
+                         run.records.at(cell.baselineHash).summary.ipc);
+        j.field("seconds", rec.seconds);
+        j.field("events_dispatched", s.eventsDispatched);
+        j.field("cycles_executed", s.cyclesExecuted);
+        j.field("cycles_skipped", s.cyclesSkipped);
+        j.field("minstr_per_sec", s.minstrPerSec);
         j.endObject();
     }
     j.endArray();
 
     j.key("suites").beginArray();
-    for (const auto &s : result.suites) {
+    for (const auto &row : run.metrics.suites) {
         j.beginObject();
-        j.field("prefetcher", s.prefetcher);
-        j.field("suite", s.suite);
-        j.field("workloads", uint64_t(s.workloads));
-        j.field("speedup", s.summary.speedup);
-        j.field("accuracy", s.summary.accuracy);
-        j.field("coverage", s.summary.coverage);
-        j.field("late_fraction", s.summary.lateFraction);
+        j.field("prefetcher", row.prefetcher);
+        j.field("suite", row.suite);
+        j.field("workloads", uint64_t(row.workloads));
+        j.field("speedup", row.summary.speedup);
+        j.field("accuracy", row.summary.accuracy);
+        j.field("coverage", row.summary.coverage);
+        j.field("late_fraction", row.summary.lateFraction);
         j.endObject();
     }
     j.endArray();
@@ -383,76 +231,69 @@ matrixToJson(const MatrixSpec &spec, const MatrixResult &result)
     // itself ran (every matrix run reports it; bench_engine tracks it
     // over time in BENCH_engine.json).
     j.key("engine").beginObject();
-    j.field("kind", result.engine);
-    j.field("instructions_simulated", result.totalInstructions);
-    j.field("events_dispatched", result.totalEvents);
-    j.field("cycles_executed", result.totalCyclesExecuted);
-    j.field("cycles_skipped", result.totalCyclesSkipped);
-    j.field("engine_flips", result.totalEngineFlips);
-    uint64_t totalCycles =
-        result.totalCyclesExecuted + result.totalCyclesSkipped;
-    j.field("skip_fraction",
-            totalCycles ? double(result.totalCyclesSkipped)
-                              / double(totalCycles)
-                        : 0.0);
-    j.field("minstr_per_sec", result.minstrPerSec());
+    j.field("kind", engine);
+    j.field("instructions_simulated", run.totalInstructions);
+    j.field("events_dispatched", run.totalEvents);
+    j.field("cycles_executed", run.totalCyclesExecuted);
+    j.field("cycles_skipped", run.totalCyclesSkipped);
+    j.field("engine_flips", run.totalEngineFlips);
+    j.field("skip_fraction", skipFraction(run.totalCyclesExecuted,
+                                          run.totalCyclesSkipped));
+    j.field("minstr_per_sec", run.minstrPerSec());
     j.endObject();
 
-    j.field("elapsed_seconds", result.seconds);
+    j.field("elapsed_seconds", run.stats.seconds);
     j.endObject();
     return j.str();
 }
 
 std::string
-matrixEngineTable(const MatrixResult &result)
+gazeSimEngineTable(const GazeSimRun &run)
 {
     TextTable t({"prefetcher", "workload", "minstr/s", "skipped",
                  "events", "late"});
-    for (const auto &c : result.cells) {
-        uint64_t cycles = c.cyclesExecuted + c.cyclesSkipped;
-        double skip =
-            cycles ? double(c.cyclesSkipped) / double(cycles) : 0.0;
-        t.addRow({c.prefetcher, c.workload,
-                  TextTable::fmt(c.minstrPerSec),
-                  TextTable::pct(skip),
-                  std::to_string(c.eventsDispatched),
-                  std::to_string(c.metrics.pfLate)});
+    const auto &cells = run.campaign.cells;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        const RunSummary &s = run.records.at(cells[i].hash).summary;
+        t.addRow({cells[i].prefetcher, cells[i].workload.name,
+                  TextTable::fmt(s.minstrPerSec),
+                  TextTable::pct(
+                      skipFraction(s.cyclesExecuted, s.cyclesSkipped)),
+                  std::to_string(s.eventsDispatched),
+                  std::to_string(run.metrics.cells[i].pfLate)});
     }
     std::string out = t.toString();
 
-    uint64_t totalCycles =
-        result.totalCyclesExecuted + result.totalCyclesSkipped;
-    double skip = totalCycles ? double(result.totalCyclesSkipped)
-                                    / double(totalCycles)
-                              : 0.0;
     char line[256];
     std::snprintf(line, sizeof(line),
                   "\nengine: %s | %.2f Minstr in %.2fs -> %.2f "
                   "Minstr/s aggregate | %.1f%% of cycles skipped\n",
-                  result.engine.c_str(),
-                  double(result.totalInstructions) / 1e6,
-                  result.seconds, result.minstrPerSec(),
-                  100.0 * skip);
+                  engineKindName(run.campaign.spec.run.system.engine),
+                  double(run.totalInstructions) / 1e6,
+                  run.stats.seconds, run.minstrPerSec(),
+                  100.0 * skipFraction(run.totalCyclesExecuted,
+                                       run.totalCyclesSkipped));
     out += line;
     return out;
 }
 
 std::string
-matrixSchemeTable(const MatrixResult &result)
+gazeSimSchemeTable(const GazeSimRun &run)
 {
     bool any = false;
-    for (const auto &c : result.cells)
-        any = any || !c.metrics.schemes.empty();
+    for (const auto &m : run.metrics.cells)
+        any = any || !m.schemes.empty();
     if (!any)
         return "";
 
     TextTable t({"prefetcher", "workload", "scheme", "issued",
                  "filled", "useful", "late", "useless", "accuracy",
                  "pollution", "fill2use"});
-    for (const auto &c : result.cells) {
-        for (const SchemeMetrics &s : c.metrics.schemes) {
-            t.addRow({c.prefetcher, c.workload, s.name,
-                      std::to_string(s.issued),
+    const auto &cells = run.campaign.cells;
+    for (size_t i = 0; i < cells.size(); ++i) {
+        for (const SchemeMetrics &s : run.metrics.cells[i].schemes) {
+            t.addRow({cells[i].prefetcher, cells[i].workload.name,
+                      s.name, std::to_string(s.issued),
                       std::to_string(s.filled),
                       std::to_string(s.useful),
                       std::to_string(s.late),
@@ -466,11 +307,11 @@ matrixSchemeTable(const MatrixResult &result)
 }
 
 std::string
-matrixToTable(const MatrixResult &result)
+gazeSimSuiteTable(const GazeSimRun &run)
 {
     TextTable t({"prefetcher", "suite", "workloads", "speedup",
                  "accuracy", "coverage", "late"});
-    for (const auto &s : result.suites) {
+    for (const auto &s : run.metrics.suites) {
         t.addRow({s.prefetcher, s.suite, std::to_string(s.workloads),
                   TextTable::fmt(s.summary.speedup),
                   TextTable::pct(s.summary.accuracy),

@@ -1,9 +1,9 @@
 /**
  * @file
- * gaze_sim: the suite-runner CLI. Flag parsing (including
- * --suites/--workloads/--trace-dir expansion) lives in driver/cli so
- * its error paths are unit-testable; this file only sequences parse ->
- * run -> report.
+ * gaze_sim: the suite-runner CLI, a cache-less front end of the
+ * campaign engine. Flag parsing lives in driver/cli so its error paths
+ * are unit-testable, the run and its rendering in driver/driver; this
+ * file only sequences parse -> expand -> run -> report.
  */
 
 #include <cstdio>
@@ -61,33 +61,34 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const MatrixSpec &spec = opt.spec;
+    Campaign campaign = expandCampaign(opt.spec);
+    const CampaignSpec &spec = campaign.spec;
     std::printf("gaze_sim: %zu prefetcher(s) x %zu workload(s), "
                 "%u core(s)/cell, level %s%s%s\n",
-                spec.prefetchers.size(), spec.workloads.size(),
-                spec.cores, spec.level.c_str(),
+                spec.prefetchers.size(), campaign.workloads.size(),
+                spec.coreCounts.front(), spec.levels.front().c_str(),
                 spec.traceDir.empty() ? "" : ", traces from ",
                 spec.traceDir.c_str());
 
-    MatrixResult result = runMatrix(spec);
+    GazeSimRun run = runGazeSim(std::move(campaign), opt);
 
-    std::printf("\n%s\n", matrixToTable(result).c_str());
-    std::string schemeTable = matrixSchemeTable(result);
+    std::printf("\n%s\n", gazeSimSuiteTable(run).c_str());
+    std::string schemeTable = gazeSimSchemeTable(run);
     if (!schemeTable.empty())
         std::printf("per-scheme attribution:\n%s\n",
                     schemeTable.c_str());
     if (opt.engineStats)
-        std::printf("\n%s\n", matrixEngineTable(result).c_str());
+        std::printf("\n%s\n", gazeSimEngineTable(run).c_str());
     std::printf("total: %zu cells in %.1fs on %u thread(s), "
                 "%.2f Minstr/s\n",
-                result.cells.size(), result.seconds,
-                result.threadsUsed, result.minstrPerSec());
-    if (!spec.obsTimelinePath.empty())
-        std::printf("obs timeline: %s\n", spec.obsTimelinePath.c_str());
-    if (!spec.obsTracePath.empty())
-        std::printf("obs trace: %s\n", spec.obsTracePath.c_str());
+                run.campaign.cells.size(), run.stats.seconds,
+                run.stats.threadsUsed, run.minstrPerSec());
+    if (!opt.obsTimelinePath.empty())
+        std::printf("obs timeline: %s\n", opt.obsTimelinePath.c_str());
+    if (!opt.obsTracePath.empty())
+        std::printf("obs trace: %s\n", opt.obsTracePath.c_str());
 
-    JsonExport doc(spec.name, matrixToJson(spec, result));
+    JsonExport doc(opt.spec.name, gazeSimJson(run));
     std::string path =
         opt.outPath.empty() ? doc.write() : doc.writeTo(opt.outPath);
     std::printf("results: %s\n", path.c_str());

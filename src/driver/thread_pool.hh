@@ -30,7 +30,7 @@ namespace gaze
 /**
  * Resolve a requested worker count against the job count: 0 means
  * hardware concurrency, and there is never a point in more workers
- * than jobs. Shared by the matrix driver and the campaign engine.
+ * than jobs. Shared by the campaign engine and the serve scheduler.
  */
 inline uint32_t
 resolvePoolThreads(uint32_t requested, size_t jobs)

@@ -46,8 +46,14 @@ namespace gaze
  * deliberately NOT part of the canonical text — obs never perturbs
  * simulated state, so a cell computed with tracing on is the same
  * cell computed with it off.
+ *
+ * v5: cell records gained instructions_retired and engine_flips, the
+ * two whole-run counters gaze_sim's engine block sums from records,
+ * and store ipc at round-trip precision, so a report computed from
+ * cached records equals one computed from the runs themselves; v4
+ * records lack the counters and must recompute.
  */
-constexpr uint32_t kCellSchemaVersion = 4;
+constexpr uint32_t kCellSchemaVersion = 5;
 
 /**
  * The canonical, human-auditable identity text of one cell. Covers

@@ -87,10 +87,7 @@ CsvExport::write() const
     if (!enabled())
         return {};
     std::string path = std::string(resultsDir()) + "/" + name + ".csv";
-    std::ofstream out(path);
-    if (!out)
-        GAZE_FATAL("cannot write results file '", path, "'");
-    out << toCsv();
+    writeTextFile(path, toCsv());
     return path;
 }
 
@@ -214,16 +211,28 @@ JsonWriter::value(const char *v)
 }
 
 JsonWriter &
-JsonWriter::value(double v)
+JsonWriter::number(double v, const char *format)
 {
     if (!std::isfinite(v)) {
         append("null");
         return *this;
     }
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    std::snprintf(buf, sizeof(buf), format, v);
     append(buf);
     return *this;
+}
+
+JsonWriter &
+JsonWriter::value(double v)
+{
+    return number(v, "%.10g");
+}
+
+JsonWriter &
+JsonWriter::exactValue(double v)
+{
+    return number(v, "%.17g");
 }
 
 JsonWriter &
@@ -287,13 +296,22 @@ JsonExport::write() const
     return writeTo(defaultPath());
 }
 
+void
+writeTextFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        GAZE_FATAL("cannot create '", path, "'");
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    out.close();
+    if (!out)
+        GAZE_FATAL("write failed on '", path, "'");
+}
+
 std::string
 JsonExport::writeTo(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        GAZE_FATAL("cannot write results file '", path, "'");
-    out << text << '\n';
+    writeTextFile(path, text + '\n');
     return path;
 }
 

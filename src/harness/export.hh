@@ -75,6 +75,14 @@ class JsonWriter
     JsonWriter &value(int v);
     JsonWriter &value(bool v);
 
+    /**
+     * A double with round-trip precision (%.17g): parsing the text
+     * back yields the same value. value(double) rounds to 10
+     * significant digits for readable documents; a record that is
+     * read back and computed from (a cached IPC) needs this instead.
+     */
+    JsonWriter &exactValue(double v);
+
     /** Explicit null (e.g. "no trace provenance"). */
     JsonWriter &nullValue();
 
@@ -94,6 +102,7 @@ class JsonWriter
 
     void separate();
     void append(const std::string &text);
+    JsonWriter &number(double v, const char *format);
     static std::string escape(const std::string &s);
 
     std::string out;
@@ -102,6 +111,9 @@ class JsonWriter
     bool keyPending = false;
     bool rootUsed = false;     ///< exactly one top-level value allowed
 };
+
+/** Write @p text to @p path, replacing it; fatal on any I/O failure. */
+void writeTextFile(const std::string &path, const std::string &text);
 
 /**
  * A named JSON result document destined for "BENCH_<name>.json",

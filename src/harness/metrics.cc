@@ -117,6 +117,8 @@ summarize(const RunResult &r)
     s.cyclesExecuted = r.engine.cyclesExecuted;
     s.cyclesSkipped = r.engine.cyclesSkipped;
     s.minstrPerSec = r.minstrPerSec();
+    s.instructionsRetired = r.instructionsRetired;
+    s.engineFlips = r.engine.engineFlips;
     return s;
 }
 

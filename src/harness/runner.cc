@@ -18,7 +18,7 @@ PfSpec
 pfSpecAt(const std::string &spec, const std::string &level)
 {
     // Canonicalize (and thereby validate) here, at the single choke
-    // point every matrix/campaign cell passes through: the PfSpec —
+    // point every campaign cell passes through: the PfSpec —
     // and with it the canonical cell text, the baseline cache key and
     // the campaign cache address — only ever sees the one canonical
     // spelling, so "gaze:n=1:region=2048" and "gaze:region=2048:n=1"

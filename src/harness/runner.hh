@@ -82,7 +82,7 @@ struct PfSpec
 
 /**
  * Build a PfSpec attaching factory spec @p spec at @p level ("l1" or
- * "l2"); fatal on anything else. Shared by the matrix driver and the
+ * "l2"); fatal on anything else. Shared by spec validation and
  * campaign expansion so the level axis is validated identically.
  */
 PfSpec pfSpecAt(const std::string &spec, const std::string &level);
@@ -93,9 +93,9 @@ PfSpec pfSpecAt(const std::string &spec, const std::string &level);
  * identity, so it is safe to share across Runners with different
  * configs). The first caller for a key computes; concurrent callers
  * for the same key block on a shared future instead of racing the map
- * or recomputing the simulation. Share one instance across the
- * thread-pool workers of a matrix or campaign run by passing it to
- * each Runner.
+ * or recomputing the simulation. Share one instance across
+ * concurrent workers (the serve scheduler's) by passing it to each
+ * Runner.
  *
  * Residency is bounded for long-running processes (gaze_serve): at
  * most @p capacity completed entries stay resident, evicted least

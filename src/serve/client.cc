@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -128,15 +127,6 @@ stringField(const JsonValue &doc, const char *key)
     return v && v->isString() ? v->asString() : "";
 }
 
-void
-writeText(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        GAZE_FATAL("cannot write ", path);
-    out << text;
-}
-
 } // namespace
 
 int
@@ -206,9 +196,9 @@ submitToDaemon(const std::string &socketPath,
             std::string report = stringField(doc, "report");
             std::string path =
                 outPath.empty() ? "BENCH_" + name + ".json" : outPath;
-            writeText(path, report + "\n");
+            writeTextFile(path, report + "\n");
             if (!csvPath.empty())
-                writeText(csvPath, stringField(doc, "csv"));
+                writeTextFile(csvPath, stringField(doc, "csv"));
             if (!quiet)
                 std::fprintf(stderr, "report: %s\n", path.c_str());
             return 0;

@@ -69,7 +69,8 @@ parseEngineKind(const std::string &name)
 System::System(const SystemConfig &config)
     : cfg(config), autoPolledStintLen(kAutoPolledStintBase), vm(34)
 {
-    GAZE_ASSERT(cfg.numCores >= 1 && cfg.numCores <= 64, "bad core count");
+    GAZE_ASSERT(cfg.numCores >= 1 && cfg.numCores <= kMaxCores,
+                "bad core count");
     // Validate the replacement policy eagerly, before any cache is
     // built, so a bad campaign/CLI string dies here with the full
     // list instead of surfacing from some worker mid-run (mirrors the

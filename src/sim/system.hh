@@ -53,10 +53,18 @@ const char *engineKindName(EngineKind kind);
 /** Parse an --engine= value; fatal on anything unknown. */
 EngineKind parseEngineKind(const std::string &name);
 
+/**
+ * Largest core count a System supports. Every front end that accepts a
+ * core count (gaze_sim --cores, the campaign spec's "cores" axis and
+ * the daemon's preflight of it) rejects anything above this with a
+ * diagnostic before a System is built.
+ */
+constexpr uint32_t kMaxCores = 64;
+
 /** Full-system configuration (Table II defaults). */
 struct SystemConfig
 {
-    uint32_t numCores = 1;
+    uint32_t numCores = 1; ///< 1..kMaxCores
 
     /** Simulation engine (results are identical for every kind). */
     EngineKind engine = EngineKind::Auto;

@@ -151,10 +151,16 @@ TEST(CampaignSpecParse, FatalSpecErrors)
             R"({"name":"x","prefetchers":["gaze"],)"
             R"("workloads":["mcf"],"suites":["spec6_typo"]})")),
         "unknown suite");
+    // Core counts are bounded by what a System can build: a
+    // diagnostic here, never a panic once the job runs.
     EXPECT_DEATH(
         parseCampaignSpec(parseSpecText(
             R"({"name":"x","prefetchers":["gaze"],"cores":[0]})")),
-        ">= 1");
+        "campaign spec: core count must be >= 1");
+    EXPECT_DEATH(
+        parseCampaignSpec(parseSpecText(
+            R"({"name":"x","prefetchers":["gaze"],"cores":[1,65]})")),
+        "campaign spec: core count 65 exceeds the 64-core limit");
     EXPECT_DEATH(
         parseCampaignSpec(parseSpecText(
             R"({"name":"x","prefetchers":["gaze"],)"
@@ -209,7 +215,14 @@ TEST(CampaignSpecPreflight, MirrorsEveryFatalDiagnosisNonFatally)
                     "unknown suite"));
     EXPECT_TRUE(
         has(check(R"({"name":"x","prefetchers":["gaze"],"cores":[0]})"),
-            ">= 1"));
+            "campaign spec: core count must be >= 1"));
+    // Above the System's bound: rejected up front, because jobs with
+    // that many cores would panic in System and kill the daemon.
+    EXPECT_EQ(check(R"({"name":"x","prefetchers":["gaze"],)"
+                    R"("cores":[4,65]})"),
+              "campaign spec: core count 65 exceeds the 64-core limit");
+    EXPECT_EQ(check(R"({"name":"x","prefetchers":["gaze"],"cores":[64]})"),
+              "");
     EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
                           R"("workloads":["nope"]})"),
                     "unknown workload 'nope'"));
@@ -335,6 +348,8 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
     rec.summary.pfUseful = 70;
     rec.summary.pfLate = 5;
     rec.summary.llcDemandMiss = 1234;
+    rec.summary.instructionsRetired = 60000;
+    rec.summary.engineFlips = 7;
     rec.seconds = 0.5;
     uint64_t hash = cellHash(rec.key);
 
@@ -348,6 +363,15 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
     EXPECT_EQ(out.summary.pfUseful, 70u);
     EXPECT_EQ(out.summary.pfLate, 5u);
     EXPECT_EQ(out.summary.llcDemandMiss, 1234u);
+    EXPECT_EQ(out.summary.instructionsRetired, 60000u);
+    EXPECT_EQ(out.summary.engineFlips, 7u);
+
+    // The IPC comes back bit for bit, so a cached cell scores exactly
+    // like the run that produced it (10 printed digits would not).
+    rec.summary.ipc = 1.0 / 3.0 + 1e-12;
+    cache.store(hash, rec);
+    ASSERT_TRUE(cache.lookup(hash, rec.key, &out));
+    EXPECT_EQ(out.summary.ipc, rec.summary.ipc);
 
     // No temp droppings left behind by the atomic publish.
     size_t files = 0;
@@ -468,11 +492,11 @@ TEST(CampaignEndToEnd, SecondRunIsAllCacheHitsAndByteIdentical)
     opt.threads = 2;
     opt.verbose = false;
 
-    CampaignRunStats first = runCampaign(campaign, cache, opt);
+    CampaignRunStats first = runCampaign(campaign, &cache, opt);
     EXPECT_EQ(first.executed, 4u); // 2 cells + 2 baselines
     EXPECT_EQ(first.cacheHits, 0u);
 
-    CampaignRunStats second = runCampaign(campaign, cache, opt);
+    CampaignRunStats second = runCampaign(campaign, &cache, opt);
     EXPECT_EQ(second.executed, 0u);
     EXPECT_EQ(second.cacheHits, 4u);
 
@@ -494,7 +518,7 @@ TEST(CampaignEndToEnd, ShardsPartitionAndAggregateIdentically)
     CampaignRunOptions opt;
     opt.threads = 2;
     opt.verbose = false;
-    runCampaign(campaign, whole, opt);
+    runCampaign(campaign, &whole, opt);
     CampaignReport expected = buildReport(campaign, whole, nullptr);
 
     ResultCache sharded(freshDir("campaign_sharded"));
@@ -505,7 +529,7 @@ TEST(CampaignEndToEnd, ShardsPartitionAndAggregateIdentically)
     shard1.shardIndex = 1;
     shard1.shardCount = 2;
 
-    CampaignRunStats s0 = runCampaign(campaign, sharded, shard0);
+    CampaignRunStats s0 = runCampaign(campaign, &sharded, shard0);
     EXPECT_EQ(s0.executed, 2u);
     EXPECT_EQ(s0.otherShards, 2u);
 
@@ -513,7 +537,7 @@ TEST(CampaignEndToEnd, ShardsPartitionAndAggregateIdentically)
     EXPECT_DEATH(buildReport(campaign, sharded, nullptr),
                  "not in cache");
 
-    CampaignRunStats s1 = runCampaign(campaign, sharded, shard1);
+    CampaignRunStats s1 = runCampaign(campaign, &sharded, shard1);
     EXPECT_EQ(s1.executed, 2u);
 
     CampaignReport merged = buildReport(campaign, sharded, nullptr);
@@ -543,7 +567,7 @@ TEST(CampaignEndToEnd, DuplicateAxisEntriesExecuteOnce)
     CampaignRunOptions opt;
     opt.threads = 2;
     opt.verbose = false;
-    CampaignRunStats stats = runCampaign(campaign, cache, opt);
+    CampaignRunStats stats = runCampaign(campaign, &cache, opt);
     EXPECT_EQ(stats.executed, 2u); // 1 baseline + 1 unique cell
     EXPECT_EQ(stats.cacheHits, 0u);
 
@@ -561,7 +585,7 @@ TEST(CampaignEndToEnd, CompareSectionReportsZeroDeltaAgainstSelf)
     CampaignRunOptions opt;
     opt.threads = 2;
     opt.verbose = false;
-    runCampaign(campaign, cache, opt);
+    runCampaign(campaign, &cache, opt);
 
     CampaignReport plain = buildReport(campaign, cache, nullptr);
     JsonValue previous;

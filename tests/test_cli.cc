@@ -31,17 +31,21 @@ TEST(GazeSimCli, DefaultsExpandMainSuites)
     GazeSimOptions opt = parseGazeSimArgs({});
     EXPECT_FALSE(opt.showHelp);
     EXPECT_FALSE(opt.showList);
+    EXPECT_EQ(opt.spec.name, "gaze_sim");
     EXPECT_EQ(opt.spec.prefetchers,
               (std::vector<std::string>{"ip_stride", "gaze"}));
-    EXPECT_EQ(opt.spec.level, "l1");
-    EXPECT_EQ(opt.spec.cores, 1u);
+    EXPECT_EQ(opt.spec.levels, (std::vector<std::string>{"l1"}));
+    EXPECT_EQ(opt.spec.coreCounts, (std::vector<uint32_t>{1}));
     EXPECT_TRUE(opt.spec.traceDir.empty());
+    EXPECT_EQ(opt.threads, 0u);
+    EXPECT_TRUE(opt.verbose);
 
     size_t main_count = 0;
     for (const auto &s : mainSuites())
         main_count += suiteWorkloads(s).size();
-    EXPECT_EQ(opt.spec.workloads.size(), main_count);
-    for (const auto &w : opt.spec.workloads)
+    Campaign campaign = expandCampaign(opt.spec);
+    EXPECT_EQ(campaign.workloads.size(), main_count);
+    for (const auto &w : campaign.workloads)
         EXPECT_TRUE(w.traceFile.empty());
 }
 
@@ -53,25 +57,40 @@ TEST(GazeSimCli, ExplicitFlagsParse)
          "--sim=5678", "--name=exp1", "--out=/tmp/x.json", "--quiet"});
     EXPECT_EQ(opt.spec.prefetchers,
               (std::vector<std::string>{"gaze", "pmp"}));
-    ASSERT_EQ(opt.spec.workloads.size(), 2u);
-    EXPECT_EQ(opt.spec.workloads[0].name, "mcf");
-    EXPECT_EQ(opt.spec.workloads[1].name, "leslie3d");
-    EXPECT_EQ(opt.spec.level, "l2");
-    EXPECT_EQ(opt.spec.cores, 4u);
-    EXPECT_EQ(opt.spec.threads, 8u);
+    EXPECT_EQ(opt.spec.workloadNames,
+              (std::vector<std::string>{"mcf", "leslie3d"}));
+    EXPECT_EQ(opt.spec.levels, (std::vector<std::string>{"l2"}));
+    EXPECT_EQ(opt.spec.coreCounts, (std::vector<uint32_t>{4}));
+    EXPECT_EQ(opt.threads, 8u);
     EXPECT_EQ(opt.spec.run.warmupInstr, 1234u);
     EXPECT_EQ(opt.spec.run.simInstr, 5678u);
     EXPECT_EQ(opt.spec.name, "exp1");
     EXPECT_EQ(opt.outPath, "/tmp/x.json");
-    EXPECT_FALSE(opt.spec.verbose);
+    EXPECT_FALSE(opt.verbose);
+}
+
+TEST(GazeSimCli, ObsSettingsGoInTheRunConfig)
+{
+    // The sampler interval reaches every job through spec.run, and
+    // only when a timeline was asked for.
+    GazeSimOptions on = parseGazeSimArgs(
+        {"--obs-interval=2048", "--obs-timeline=t.csv",
+         "--obs-trace=t.json"});
+    EXPECT_EQ(on.spec.run.obs.samplerInterval, 2048u);
+    EXPECT_EQ(on.obsTimelinePath, "t.csv");
+    EXPECT_EQ(on.obsTracePath, "t.json");
+    EXPECT_EQ(parseGazeSimArgs({"--obs-interval=2048"})
+                  .spec.run.obs.samplerInterval,
+              0u);
 }
 
 TEST(GazeSimCli, WorkloadsOverrideSuites)
 {
     GazeSimOptions opt =
         parseGazeSimArgs({"--suites=ligra", "--workloads=mcf"});
-    ASSERT_EQ(opt.spec.workloads.size(), 1u);
-    EXPECT_EQ(opt.spec.workloads[0].name, "mcf");
+    Campaign campaign = expandCampaign(opt.spec);
+    ASSERT_EQ(campaign.workloads.size(), 1u);
+    EXPECT_EQ(campaign.workloads[0].name, "mcf");
 }
 
 TEST(GazeSimCli, HelpAndListShortCircuit)
@@ -96,8 +115,10 @@ TEST(GazeSimCli, TraceDirRebindsWorkloads)
     GazeSimOptions opt = parseGazeSimArgs(
         {"--workloads=mcf", "--trace-dir=" + dir});
     EXPECT_EQ(opt.spec.traceDir, dir);
-    ASSERT_EQ(opt.spec.workloads.size(), 1u);
-    EXPECT_EQ(opt.spec.workloads[0].traceFile,
+    // Expansion rebinds the workloads, as for a campaign spec.
+    Campaign campaign = expandCampaign(opt.spec);
+    ASSERT_EQ(campaign.workloads.size(), 1u);
+    EXPECT_EQ(campaign.workloads[0].traceFile,
               dir + "/" + traceFileName("mcf"));
 }
 
@@ -168,6 +189,13 @@ TEST(GazeSimCliDeath, BadWorkloadAndSuiteNames)
                  "at least one name");
     EXPECT_DEATH(parseGazeSimArgs({"--suites="}),
                  "at least one suite");
+    // The same axis validation as a campaign spec: suites are checked
+    // even when --workloads overrides them, and the level up front.
+    EXPECT_DEATH(
+        parseGazeSimArgs({"--workloads=mcf", "--suites=not_a_suite"}),
+        "unknown suite 'not_a_suite'");
+    EXPECT_DEATH(parseGazeSimArgs({"--level=l3"}),
+                 "unknown attach level 'l3'");
 }
 
 TEST(GazeSimCliDeath, BadPrefetcherSpec)
@@ -191,7 +219,15 @@ TEST(GazeSimCliDeath, BadNumbers)
                  "bad numeric value for --cores");
     EXPECT_DEATH(parseGazeSimArgs({"--cores=-1"}),
                  "bad numeric value for --cores");
+    // The System's core-count bound, checked by the shared spec
+    // validation: a diagnostic at parse time, never a panic mid-run.
+    EXPECT_DEATH(parseGazeSimArgs({"--cores=0"}),
+                 "gaze_sim: core count must be >= 1");
+    EXPECT_DEATH(parseGazeSimArgs({"--cores=65"}),
+                 "gaze_sim: core count 65 exceeds the 64-core limit");
     EXPECT_DEATH(parseGazeSimArgs({"--cores=10000"}),
+                 "core count 10000 exceeds the 64-core limit");
+    EXPECT_DEATH(parseGazeSimArgs({"--cores=99999999999"}),
                  "--cores out of range");
     EXPECT_DEATH(parseGazeSimArgs({"--warmup=1e9"}),
                  "bad numeric value for --warmup");
@@ -202,16 +238,18 @@ TEST(GazeSimCliDeath, MalformedTraceDir)
     EXPECT_DEATH(parseGazeSimArgs({"--trace-dir="}),
                  "--trace-dir needs a directory");
     // Missing directory: every workload must name its absent file and
-    // the gaze_trace command that would create it.
+    // the gaze_trace command that would create it (at expansion, as
+    // for a campaign spec).
+    auto expand = [](const Args &args) {
+        return expandCampaign(parseGazeSimArgs(args).spec);
+    };
     EXPECT_DEATH(
-        parseGazeSimArgs(
-            {"--workloads=mcf", "--trace-dir=/nonexistent_dir_xyz"}),
+        expand({"--workloads=mcf", "--trace-dir=/nonexistent_dir_xyz"}),
         "no usable trace");
     // A directory that exists but holds no .gzt for the workload.
     std::string empty_dir = testing::TempDir() + "cli_empty";
     ASSERT_EQ(std::system(("mkdir -p " + empty_dir).c_str()), 0);
-    EXPECT_DEATH(parseGazeSimArgs({"--workloads=mcf",
-                                   "--trace-dir=" + empty_dir}),
+    EXPECT_DEATH(expand({"--workloads=mcf", "--trace-dir=" + empty_dir}),
                  "gaze_trace record --workloads=mcf");
 }
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/cli.hh"
 #include "driver/driver.hh"
 #include "harness/runner.hh"
 #include "obs/obs.hh"
@@ -404,43 +405,53 @@ TEST(GoldenMetrics, MultiCoreMixCellsPinnedPerEngine)
 TEST(GoldenMetrics, FileReplayIdenticalToGeneratorRun)
 {
     std::string dir = goldenDir();
-    std::vector<WorkloadDef> fileDefs = recordGoldenTraces(dir);
+    recordGoldenTraces(dir);
 
-    MatrixSpec genSpec;
-    genSpec.prefetchers = {"gaze", "ip_stride"};
-    for (const auto &name : goldenWorkloads())
-        genSpec.workloads.push_back(findWorkload(name));
-    genSpec.run = goldenConfig();
-    genSpec.threads = 4;
-    genSpec.name = "golden_gen";
+    // gaze_sim's entry point, once from the generators and once
+    // replaying the recorded files (expansion rebinds the workloads).
+    GazeSimOptions genOpt;
+    genOpt.spec.name = "golden_gen";
+    genOpt.spec.prefetchers = {"gaze", "ip_stride"};
+    genOpt.spec.workloadNames = goldenWorkloads();
+    genOpt.spec.run = goldenConfig();
+    genOpt.threads = 4;
+    genOpt.verbose = false;
 
-    MatrixSpec fileSpec = genSpec;
-    fileSpec.workloads = fileDefs;
-    fileSpec.traceDir = dir;
-    fileSpec.name = "golden_file";
+    GazeSimOptions fileOpt = genOpt;
+    fileOpt.spec.name = "golden_file";
+    fileOpt.spec.traceDir = dir;
 
-    MatrixResult gen = runMatrix(genSpec);
-    MatrixResult file = runMatrix(fileSpec);
+    GazeSimRun gen = runGazeSim(expandCampaign(genOpt.spec), genOpt);
+    GazeSimRun file = runGazeSim(expandCampaign(fileOpt.spec), fileOpt);
 
-    ASSERT_EQ(gen.cells.size(), file.cells.size());
-    for (size_t i = 0; i < gen.cells.size(); ++i) {
-        const CellOutcome &a = gen.cells[i];
-        const CellOutcome &b = file.cells[i];
-        ASSERT_EQ(a.workload, b.workload);
-        ASSERT_EQ(a.prefetcher, b.prefetcher);
+    const auto &genCells = gen.campaign.cells;
+    const auto &fileCells = file.campaign.cells;
+    ASSERT_EQ(genCells.size(), fileCells.size());
+    for (size_t i = 0; i < genCells.size(); ++i) {
+        const std::string &w = genCells[i].workload.name;
+        ASSERT_EQ(w, fileCells[i].workload.name);
+        ASSERT_EQ(genCells[i].prefetcher, fileCells[i].prefetcher);
+        ASSERT_TRUE(genCells[i].workload.traceFile.empty());
+        ASSERT_FALSE(fileCells[i].workload.traceFile.empty());
+        const RunSummary &a = gen.records.at(genCells[i].hash).summary;
+        const RunSummary &b = file.records.at(fileCells[i].hash).summary;
+        const RunSummary &aBase =
+            gen.records.at(genCells[i].baselineHash).summary;
+        const RunSummary &bBase =
+            file.records.at(fileCells[i].baselineHash).summary;
+        const PrefetchMetrics &am = gen.metrics.cells[i];
+        const PrefetchMetrics &bm = file.metrics.cells[i];
         // Bitwise identity, not tolerance: the replay feeds the exact
         // same record stream into a deterministic simulator.
-        EXPECT_EQ(a.ipc, b.ipc) << a.workload << " x " << a.prefetcher;
-        EXPECT_EQ(a.baseIpc, b.baseIpc) << a.workload;
-        EXPECT_EQ(a.metrics.speedup, b.metrics.speedup) << a.workload;
-        EXPECT_EQ(a.metrics.accuracy, b.metrics.accuracy) << a.workload;
-        EXPECT_EQ(a.metrics.coverage, b.metrics.coverage) << a.workload;
-        EXPECT_EQ(a.metrics.lateFraction, b.metrics.lateFraction)
-            << a.workload;
-        EXPECT_EQ(a.metrics.pfIssued, b.metrics.pfIssued) << a.workload;
-        EXPECT_EQ(a.metrics.pfUseful, b.metrics.pfUseful) << a.workload;
-        EXPECT_EQ(a.metrics.llcMissPf, b.metrics.llcMissPf)
-            << a.workload;
+        EXPECT_EQ(a.ipc, b.ipc) << w << " x " << genCells[i].prefetcher;
+        EXPECT_EQ(aBase.ipc, bBase.ipc) << w;
+        EXPECT_EQ(am.speedup, bm.speedup) << w;
+        EXPECT_EQ(am.accuracy, bm.accuracy) << w;
+        EXPECT_EQ(am.coverage, bm.coverage) << w;
+        EXPECT_EQ(am.lateFraction, bm.lateFraction) << w;
+        EXPECT_EQ(am.pfIssued, bm.pfIssued) << w;
+        EXPECT_EQ(am.pfUseful, bm.pfUseful) << w;
+        EXPECT_EQ(am.llcMissPf, bm.llcMissPf) << w;
     }
 }
 

@@ -78,7 +78,7 @@ offlineReport(const std::string &spec, const std::string &dirName)
     CampaignRunOptions opt;
     opt.threads = 2;
     opt.verbose = false;
-    runCampaign(campaign, cache, opt);
+    runCampaign(campaign, &cache, opt);
     return buildReport(campaign, cache, nullptr);
 }
 
@@ -492,6 +492,35 @@ TEST(ServeService, InvalidRequestsAreRejectedNeverFatal)
     client.submit(specText("serve_ok", "ip_stride", "\"mcf\""));
     service.drain();
     EXPECT_EQ(client.events("report").size(), 1u);
+}
+
+TEST(ServeService, OversizedCoreCountIsRejectedAndServingContinues)
+{
+    // A core count above the System's bound must be refused by the
+    // preflight: enqueued, its jobs would panic in System and take the
+    // daemon down. The rejection names the bound, nothing is enqueued,
+    // and the next submission still completes.
+    ServiceConfig cfg;
+    cfg.cacheDir = freshDir("serve_cores_daemon");
+    cfg.threads = 1;
+    Service service(cfg);
+    TestClient client(service);
+
+    client.submit(R"({"name":"too_many_cores","prefetchers":["gaze"],)"
+                  R"("workloads":["mcf"],"cores":[65],)"
+                  R"("warmup":500,"sim":2000})");
+    auto rejected = client.events("rejected");
+    ASSERT_EQ(rejected.size(), 1u);
+    EXPECT_NE(client.field(rejected[0], "reason")
+                  .find("core count 65 exceeds the 64-core limit"),
+              std::string::npos);
+    EXPECT_TRUE(client.events("accepted").empty());
+    EXPECT_EQ(service.counters().rejected, 1u);
+
+    client.submit(specText("serve_after_cores", "ip_stride", "\"mcf\""));
+    service.drain();
+    EXPECT_EQ(client.events("report").size(), 1u);
+    EXPECT_TRUE(client.events("error").empty());
 }
 
 TEST(ServeService, DrainRejectsNewWorkButFinishesInFlight)

@@ -269,7 +269,7 @@ TEST(TsanCampaignShards, TwoInProcessShardsOneCacheDir)
     CampaignRunOptions base;
     base.threads = 2;
     base.verbose = false;
-    runCampaign(campaign, whole, base);
+    runCampaign(campaign, &whole, base);
     CampaignReport expected = buildReport(campaign, whole, nullptr);
 
     // Two shards of the same campaign, each on its own pool, racing
@@ -287,7 +287,7 @@ TEST(TsanCampaignShards, TwoInProcessShardsOneCacheDir)
             opt.shardCount = 2;
             opt.threads = 2;
             opt.verbose = false;
-            stats[s] = runCampaign(campaign, shared, opt);
+            stats[s] = runCampaign(campaign, &shared, opt);
         });
     }
     for (auto &t : shards)
@@ -314,7 +314,7 @@ TEST(TsanCampaignShards, DuplicateFullRunsRaceOnEveryCell)
             CampaignRunOptions opt;
             opt.threads = 2;
             opt.verbose = false;
-            runCampaign(campaign, shared, opt);
+            runCampaign(campaign, &shared, opt);
         });
     }
     for (auto &t : runs)
