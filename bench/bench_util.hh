@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: standard header
- * printing, suite/prefetcher matrices, and representative trace lists.
+ * Shared helpers for the bench binaries: standard header printing,
+ * the Fig. 14 prefetcher list, and a geomean-over-traces helper.
  * All benches honor GAZE_SIM_SCALE for trace/interval scaling.
  */
 
@@ -34,30 +34,11 @@ banner(const char *experiment, const char *what)
                 "=========\n\n");
 }
 
-/** The nine Fig. 6 prefetchers in the paper's plotting order. */
-inline std::vector<std::string>
-fig6Prefetchers()
-{
-    return {"ip_stride", "spp_ppf", "ipcp", "vberti", "sms",
-            "bingo", "dspatch", "pmp", "gaze"};
-}
-
 /** The six multi-core prefetchers of Fig. 14. */
 inline std::vector<std::string>
 fig14Prefetchers()
 {
     return {"spp_ppf", "vberti", "bingo", "dspatch", "pmp", "gaze"};
-}
-
-/** Representative single-core traces used by Figs. 10/11/16-18. */
-inline std::vector<std::string>
-representativeTraces()
-{
-    return {"leslie3d",    "bwaves_s",   "lbm",         "milc",
-            "mcf",         "fotonik3d_s", "xalancbmk_s", "gcc_s",
-            "PageRank-1",  "PageRank-61", "BFS-17",      "BC-4",
-            "MIS-17",      "streamcluster", "canneal",
-            "cassandra-p0c0", "nutch-p0c0", "stream-p1c0"};
 }
 
 /** Geomean over per-trace speedups of @p pf on the named traces. */

@@ -33,8 +33,8 @@
 #                                         thread/: builds everything
 #                                         and runs the concurrency-
 #                                         labeled tests (ThreadPool /
-#                                         BaselineCache / campaign-
-#                                         shard stress) race-clean
+#                                         campaign-shard / serve
+#                                         stress) race-clean
 #   ./scripts/check.sh --tidy             clang-tidy over src/ against
 #                                         compile_commands.json
 #   ./scripts/check.sh --format           clang-format --dry-run
@@ -117,10 +117,9 @@ cd "$BUILD_DIR"
 
 if [ "$TSAN" = 1 ]; then
     # The TSan gate is focused: the concurrency-labeled tests hammer
-    # the ThreadPool, the shared BaselineCache (incl. LRU eviction),
-    # two in-process campaign shards publishing into one cache dir,
-    # and the campaign service (multi-client dedup + the socket
-    # daemon end to end). Simulation-heavy
+    # the ThreadPool, two in-process campaign shards publishing into
+    # one cache dir, and the campaign service (multi-client dedup +
+    # the socket daemon end to end). Simulation-heavy
     # tier1 tests run 10-20x slower under TSan and exercise no
     # threading the stress tests don't; the address gate covers them.
     ctest -L concurrency --output-on-failure --stop-on-failure

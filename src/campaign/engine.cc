@@ -51,12 +51,11 @@ expandCampaignJobs(const Campaign &campaign)
 
 CellRecord
 executeCampaignJob(const RunConfig &run, const CampaignJob &job,
-                   const std::shared_ptr<BaselineCache> &baselines,
                    obs::SampleSeries *samples)
 {
     obs::HostSpan cellSpan(obs::globalTrace(), "cell " + job.label);
     WallTimer cellTimer;
-    Runner runner(run, baselines);
+    Runner runner(run);
     std::vector<WorkloadDef> mix(job.cores, job.workload);
     RunResult r = runner.runMix(mix, job.pf);
 
@@ -126,7 +125,7 @@ runCampaign(const Campaign &campaign, ResultCache *cache,
             pool.submit([&, job] {
                 obs::SampleSeries samples;
                 CellRecord rec = executeCampaignJob(
-                    campaign.spec.run, *job, nullptr, &samples);
+                    campaign.spec.run, *job, &samples);
                 if (cache)
                     cache->store(job->hash, rec);
                 executed.fetch_add(1, std::memory_order_relaxed);

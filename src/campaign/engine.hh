@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,8 +34,6 @@
 
 namespace gaze
 {
-
-class BaselineCache;
 
 /** One executable unit of a campaign: a baseline or a prefetcher cell. */
 struct CampaignJob
@@ -64,15 +61,12 @@ std::vector<CampaignJob> expandCampaignJobs(const Campaign &campaign);
 /**
  * Simulate one job to completion and return its cell record (the
  * caller publishes it to a ResultCache). Emits the per-cell host-time
- * span on the calling thread's track. Pass a shared @p baselines cache
- * to deduplicate baseline simulations across concurrent jobs. A
- * non-null @p samples receives the job's interval-sampler rows (empty
- * unless @p run attaches a sampler); they are never part of the record.
+ * span on the calling thread's track. A non-null @p samples receives
+ * the job's interval-sampler rows (empty unless @p run attaches a
+ * sampler); they are never part of the record.
  */
 CellRecord executeCampaignJob(const RunConfig &run,
                               const CampaignJob &job,
-                              const std::shared_ptr<BaselineCache>
-                                  &baselines = nullptr,
                               obs::SampleSeries *samples = nullptr);
 
 /** Execution knobs for one campaign run. */

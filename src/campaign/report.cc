@@ -111,12 +111,16 @@ computeCampaignMetrics(const Campaign &campaign,
         out.cells.push_back(computeMetrics(summary(cell.baselineHash),
                                            summary(cell.hash)));
 
-    // Suite order: first appearance across the workload axis.
+    // Suite order: first appearance across the workload axis. A
+    // workload axis that spans several suites adds the "all" row last,
+    // which matches every workload (no registry suite is named "all").
     std::vector<std::string> suiteOrder;
     for (const auto &w : campaign.workloads)
         if (std::find(suiteOrder.begin(), suiteOrder.end(), w.suite)
             == suiteOrder.end())
             suiteOrder.push_back(w.suite);
+    if (suiteOrder.size() > 1)
+        suiteOrder.push_back("all");
 
     // Cells are laid out level -> cores -> prefetcher -> workload, so
     // each (level, cores, prefetcher) group is a run of nw cells.
@@ -132,7 +136,8 @@ computeCampaignMetrics(const Campaign &campaign,
             std::vector<double> speedups;
             double acc = 0.0, cov = 0.0, late = 0.0;
             for (size_t wi = 0; wi < nw; ++wi) {
-                if (campaign.workloads[wi].suite != suite)
+                if (suite != "all"
+                    && campaign.workloads[wi].suite != suite)
                     continue;
                 const PrefetchMetrics &m = out.cells[group + wi];
                 speedups.push_back(m.speedup);

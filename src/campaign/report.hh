@@ -56,8 +56,11 @@ struct CampaignMetrics
 /**
  * Score every cell of @p campaign against its baseline and aggregate
  * the suite rows (geomean speedup, mean accuracy/coverage/late
- * fraction, suites in first-appearance order). Every cell and
- * baseline must have a record in @p records.
+ * fraction, suites in first-appearance order). When the workload axis
+ * spans more than one suite, each (level, cores, prefetcher) group
+ * ends with one more row, suite "all", that applies the same
+ * aggregate to every workload of the group. Every cell and baseline
+ * must have a record in @p records.
  */
 CampaignMetrics computeCampaignMetrics(const Campaign &campaign,
                                        const CellRecords &records);

@@ -59,8 +59,8 @@ cmdRun(const GazeCampaignOptions &opt)
     Campaign campaign = loadCampaign(opt.specPath);
     ResultCache cache(opt.cacheDir);
 
-    // --obs-trace: host-time spans of the run (cell jobs, shard,
-    // baseline waits) via the process-global hook the engine checks.
+    // --obs-trace: host-time spans of the run (the shard and each
+    // cell job) via the process-global hook the engine checks.
     std::unique_ptr<obs::TraceSink> traceSink;
     if (!opt.obsTracePath.empty()) {
         traceSink = std::make_unique<obs::TraceSink>();

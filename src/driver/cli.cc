@@ -47,8 +47,8 @@ const char *gazeSimUsageText =
     "  --obs-trace=FILE       write a Chrome-trace JSON (open in\n"
     "                         chrome://tracing or ui.perfetto.dev):\n"
     "                         engine stints/flips and per-core spans\n"
-    "                         in simulated time, cells and baseline\n"
-    "                         waits in host time\n"
+    "                         in simulated time, the campaign shard\n"
+    "                         and each cell job in host time\n"
     "  --obs-interval=N       sampler epoch in cycles for\n"
     "                         --obs-timeline (default: 4096)\n"
     "  --warmup=N             warmup instructions per core\n"
@@ -124,7 +124,7 @@ const char *gazeCampaignUsageText =
     "  --compare=FILE     previous report JSON; appends a \"compare\"\n"
     "                     section with per-suite speedup deltas\n"
     "  --obs-trace=FILE   run: write a Chrome-trace JSON of host-time\n"
-    "                     spans (cell jobs, shard, baseline waits)\n"
+    "                     spans (the shard and each cell job)\n"
     "  --quiet            no per-cell progress on stderr\n"
     "  --help             this text\n"
     "\n"
@@ -135,12 +135,12 @@ const char *gazeServeUsageText =
     "usage: gaze_serve <command> [options]\n"
     "\n"
     "Long-running campaign service: a daemon that keeps the result\n"
-    "cache, shared baselines and trace corpus warm and answers\n"
-    "campaign submissions from many concurrent clients over a local\n"
-    "Unix socket. Every cell is simulated at most once, ever —\n"
-    "overlapping submissions share in-flight work, repeats are pure\n"
-    "cache hits — and a daemon report is byte-identical to the\n"
-    "offline gaze_campaign run for the same spec.\n"
+    "cache warm and answers campaign submissions from many\n"
+    "concurrent clients over a local Unix socket. Every cell is\n"
+    "simulated at most once, ever — overlapping submissions share\n"
+    "in-flight work, repeats are pure cache hits — and a daemon\n"
+    "report is byte-identical to the offline gaze_campaign run for\n"
+    "the same spec.\n"
     "\n"
     "commands:\n"
     "  daemon    serve submissions on --socket until SIGTERM/SIGINT,\n"
@@ -149,8 +149,6 @@ const char *gazeServeUsageText =
     "            progress, write the report when it arrives\n"
     "  status    print the daemon's one-line status JSON on stdout\n"
     "  shutdown  ask the daemon to drain and exit\n"
-    "  --bench   in-process throughput probe (no daemon needed);\n"
-    "            writes BENCH_serve.json with cold/warm cells-per-sec\n"
     "\n"
     "daemon options:\n"
     "  --socket=PATH       Unix socket to listen on (required)\n"
@@ -571,16 +569,12 @@ parseGazeServeArgs(const std::vector<std::string> &args)
         opt.command = GazeServeOptions::Command::Status;
     else if (cmd == "shutdown")
         opt.command = GazeServeOptions::Command::Shutdown;
-    else if (cmd == "--bench")
-        opt.command = GazeServeOptions::Command::Bench;
     else
         GAZE_FATAL("unknown gaze_serve command '", cmd,
-                   "' (want daemon, submit, status, shutdown or "
-                   "--bench)");
+                   "' (want daemon, submit, status or shutdown)");
 
     bool daemon = opt.command == GazeServeOptions::Command::Daemon;
     bool submit = opt.command == GazeServeOptions::Command::Submit;
-    bool bench = opt.command == GazeServeOptions::Command::Bench;
 
     auto only = [&](const char *flag, bool ok) {
         if (!ok)
@@ -595,7 +589,6 @@ parseGazeServeArgs(const std::vector<std::string> &args)
             opt.command = GazeServeOptions::Command::Help;
             return opt;
         } else if (key == "--socket") {
-            only("--socket", !bench);
             if (val.empty())
                 GAZE_FATAL("--socket needs a path");
             opt.socketPath = val;
@@ -605,12 +598,12 @@ parseGazeServeArgs(const std::vector<std::string> &args)
                 GAZE_FATAL("--spec needs a file path");
             opt.specPath = val;
         } else if (key == "--cache-dir") {
-            only("--cache-dir", daemon || bench);
+            only("--cache-dir", daemon);
             if (val.empty())
                 GAZE_FATAL("--cache-dir needs a directory");
             opt.cacheDir = val;
         } else if (key == "--threads") {
-            only("--threads", daemon || bench);
+            only("--threads", daemon);
             opt.threads =
                 static_cast<uint32_t>(parseCount(key, val, 4096));
         } else if (key == "--max-queued") {
@@ -643,7 +636,7 @@ parseGazeServeArgs(const std::vector<std::string> &args)
             opt.priority = neg ? -static_cast<int64_t>(mag)
                                : static_cast<int64_t>(mag);
         } else if (key == "--out") {
-            only("--out", submit || bench);
+            only("--out", submit);
             opt.outPath = val;
         } else if (key == "--csv") {
             only("--csv", submit);
@@ -657,7 +650,7 @@ parseGazeServeArgs(const std::vector<std::string> &args)
         }
     }
 
-    if (!bench && opt.socketPath.empty())
+    if (opt.socketPath.empty())
         GAZE_FATAL("gaze_serve ", cmd, " needs --socket=PATH");
     if (submit && opt.specPath.empty())
         GAZE_FATAL("gaze_serve submit needs --spec=FILE");

@@ -141,22 +141,20 @@ struct GazeServeOptions
         Submit,   ///< client: send a spec, stream events, write report
         Status,   ///< client: print the daemon's status JSON line
         Shutdown, ///< client: ask the daemon to drain and exit
-        Bench,    ///< --bench: in-process throughput probe
         Help
     };
 
     Command command = Command::Help;
     std::string socketPath;   ///< --socket (all socket commands)
     std::string specPath;     ///< submit: --spec (required)
-    std::string cacheDir;     ///< daemon/bench: --cache-dir
-                              ///< (daemon default: campaign_cache;
-                              ///< bench default: fresh temp dir)
-    uint32_t threads = 0;     ///< daemon/bench: --threads (0 = hw)
+    std::string cacheDir;     ///< daemon: --cache-dir
+                              ///< (default: campaign_cache)
+    uint32_t threads = 0;     ///< daemon: --threads (0 = hw)
     uint64_t maxQueued = 4096;  ///< daemon: --max-queued cells
     uint64_t maxInFlight = 8; ///< daemon: --max-inflight per client
     std::string obsTracePath; ///< daemon: --obs-trace
     int64_t priority = 0;     ///< submit: --priority (may be negative)
-    std::string outPath;      ///< submit/bench: --out
+    std::string outPath;      ///< submit: --out
     std::string csvPath;      ///< submit: --csv
     bool quiet = false;       ///< submit: --quiet
     bool verbose = false;     ///< daemon: --verbose
@@ -166,10 +164,9 @@ struct GazeServeOptions
  * Parse gaze_serve arguments: "daemon --socket=PATH [--cache-dir=]
  * [--threads=] [--max-queued=] [--max-inflight=] [--obs-trace=]
  * [--verbose]", "submit --socket=PATH --spec=FILE [--priority=]
- * [--out=] [--csv=] [--quiet]", "status|shutdown --socket=PATH", or
- * "--bench [--out=] [--cache-dir=] [--threads=]". Fatal on unknown
- * commands/flags, flags that don't apply to the chosen command, or a
- * missing required flag.
+ * [--out=] [--csv=] [--quiet]", or "status|shutdown --socket=PATH".
+ * Fatal on unknown commands/flags, flags that don't apply to the
+ * chosen command, or a missing required flag.
  */
 GazeServeOptions parseGazeServeArgs(const std::vector<std::string> &args);
 

@@ -2,17 +2,15 @@
  * @file
  * gaze_serve: the campaign service binary. "daemon" runs the
  * long-lived Unix-socket service (src/serve/server); submit/status/
- * shutdown are the thin scripting clients (src/serve/client);
- * "--bench" probes in-process throughput and writes BENCH_serve.json
- * (src/serve/bench). Flag parsing lives in driver/cli with the other
- * binaries so the error paths are unit-testable.
+ * shutdown are the thin scripting clients (src/serve/client). Flag
+ * parsing lives in driver/cli with the other binaries so the error
+ * paths are unit-testable.
  */
 
 #include <cstdio>
 #include <vector>
 
 #include "driver/cli.hh"
-#include "serve/bench.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 
@@ -44,13 +42,6 @@ main(int argc, char **argv)
         return serve::queryStatus(opt.socketPath);
       case GazeServeOptions::Command::Shutdown:
         return serve::requestShutdown(opt.socketPath);
-      case GazeServeOptions::Command::Bench: {
-        serve::BenchOptions bench;
-        bench.outPath = opt.outPath;
-        bench.cacheDir = opt.cacheDir;
-        bench.threads = opt.threads;
-        return serve::runServeBench(bench);
-      }
       case GazeServeOptions::Command::Help:
         std::fputs(gazeServeUsage(), stdout);
         return 0;

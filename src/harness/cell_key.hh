@@ -6,8 +6,8 @@
  * and the identity of every workload in the mix (generator + scale,
  * or recorded-trace checksum). Two processes that canonicalize the
  * same experiment get the same text and therefore the same FNV-1a
- * hash, which is what the campaign cache files are named after and
- * what the shared BaselineCache is keyed by.
+ * hash, which is what the campaign cache files are named after; the
+ * text itself keys Runner's baseline memo.
  *
  * The schema version is baked into the text: bump it whenever the
  * simulator's observable behavior changes (new stat, different

@@ -21,7 +21,7 @@ namespace gaze
 class CsvExport
 {
   public:
-    /** @param name experiment id, e.g. "fig06_speedup". */
+    /** @param name experiment id, e.g. "fig06_main". */
     explicit CsvExport(std::string name);
 
     /** Set the header row. */

@@ -1,5 +1,7 @@
 #include "harness/runner.hh"
 
+#include <memory>
+
 #include "harness/wallclock.hh"
 
 #include "common/log.hh"
@@ -7,7 +9,6 @@
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
-#include "obs/trace.hh"
 #include "prefetchers/factory.hh"
 #include "prefetchers/registry.hh"
 
@@ -34,90 +35,6 @@ pfSpecAt(const std::string &spec, const std::string &level)
     return pf;
 }
 
-BaselineCache::BaselineCache(size_t capacity) : cap(capacity) {}
-
-RunResult
-BaselineCache::getOrCompute(const std::string &key,
-                            const std::function<RunResult()> &compute)
-{
-    std::shared_future<RunResult> fut;
-    std::promise<RunResult> prom;
-    bool owner = false;
-    {
-        std::unique_lock<std::mutex> lock(mtx);
-        auto it = entries.find(key);
-        if (it == entries.end()) {
-            fut = prom.get_future().share();
-            Entry e;
-            e.fut = fut;
-            entries.emplace(key, std::move(e));
-            owner = true;
-        } else {
-            fut = it->second.fut;
-            if (it->second.ready) {
-                lru.erase(it->second.lruIt);
-                lru.push_front(key);
-                it->second.lruIt = lru.begin();
-            }
-        }
-    }
-    // Compute outside the lock so unrelated keys proceed in parallel;
-    // only waiters of this key block, on the future. Both sides show
-    // up on the host-time trace track: computing a baseline is real
-    // work, waiting on one is contention worth seeing.
-    if (owner) {
-        obs::HostSpan span(obs::globalTrace(), "baseline compute");
-        try {
-            prom.set_value(compute());
-        } catch (...) {
-            prom.set_exception(std::current_exception());
-        }
-        std::unique_lock<std::mutex> lock(mtx);
-        auto it = entries.find(key);
-        // In-flight entries are never on the LRU list, so nothing can
-        // have evicted ours while we computed.
-        GAZE_ASSERT(it != entries.end() && !it->second.ready,
-                    "baseline entry vanished while in flight");
-        it->second.ready = true;
-        lru.push_front(key);
-        it->second.lruIt = lru.begin();
-        evictLocked();
-    } else {
-        obs::HostSpan span(obs::globalTrace(), "baseline wait");
-        fut.wait();
-    }
-    // By value: our shared_future copy keeps the shared state alive
-    // even if the map entry was evicted the moment it became ready.
-    return fut.get();
-}
-
-void
-BaselineCache::evictLocked()
-{
-    // Only completed entries are evictable; failed computes count as
-    // completed too (their memoized exception ages out like any other
-    // result, after which the key recomputes fresh).
-    while (cap != 0 && lru.size() > cap) {
-        entries.erase(lru.back());
-        lru.pop_back();
-        ++evicted;
-    }
-}
-
-size_t
-BaselineCache::size() const
-{
-    std::unique_lock<std::mutex> lock(mtx);
-    return entries.size();
-}
-
-uint64_t
-BaselineCache::evictions() const
-{
-    std::unique_lock<std::mutex> lock(mtx);
-    return evicted;
-}
-
 uint64_t
 RunConfig::effectiveWarmup() const
 {
@@ -128,14 +45,6 @@ uint64_t
 RunConfig::effectiveSim() const
 {
     return simInstr ? simInstr : scaledRecords(400'000);
-}
-
-Runner::Runner(const RunConfig &config,
-               std::shared_ptr<BaselineCache> baselines_)
-    : cfg(config), baselines(std::move(baselines_))
-{
-    if (!baselines)
-        baselines = std::make_shared<BaselineCache>();
 }
 
 RunResult
@@ -221,12 +130,13 @@ Runner::baseline(const WorkloadDef &w)
 RunResult
 Runner::baselineMix(const std::vector<WorkloadDef> &mix)
 {
-    // The canonical cell text keys the baseline, so Runners with
-    // different configs (or differently recorded traces of the same
-    // workload name) sharing one cache can never collide.
+    // The canonical cell text keys the baseline, so differently
+    // recorded traces of the same workload name never collide.
     std::string key = canonicalCellText(cfg, PfSpec{}, mix);
-    return baselines->getOrCompute(key,
-                                   [&] { return execute(mix, PfSpec{}); });
+    auto it = baselines.find(key);
+    if (it == baselines.end())
+        it = baselines.emplace(key, execute(mix, PfSpec{})).first;
+    return it->second;
 }
 
 PrefetchMetrics

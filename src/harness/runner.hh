@@ -1,19 +1,15 @@
 /**
  * @file
  * Experiment runner: builds a System per (configuration, prefetcher,
- * workload/mix), executes warmup + measured phases, and caches the
+ * workload/mix), executes warmup + measured phases, and memoizes the
  * no-prefetch baselines that speedup/coverage are computed against.
- * Every bench binary drives simulations exclusively through this.
+ * Every bench binary and every campaign job drives simulations
+ * through this.
  */
 
 #pragma once
 
-#include <functional>
-#include <future>
-#include <list>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -88,76 +84,13 @@ struct PfSpec
 PfSpec pfSpecAt(const std::string &spec, const std::string &level);
 
 /**
- * Thread-safe memo of no-prefetch baseline runs, keyed by the
- * canonical cell text (harness/cell_key — config + phases + mix
- * identity, so it is safe to share across Runners with different
- * configs). The first caller for a key computes; concurrent callers
- * for the same key block on a shared future instead of racing the map
- * or recomputing the simulation. Share one instance across
- * concurrent workers (the serve scheduler's) by passing it to each
- * Runner.
- *
- * Residency is bounded for long-running processes (gaze_serve): at
- * most @p capacity completed entries stay resident, evicted least
- * recently used. In-flight entries are never evicted, so the
- * compute-once and failure-propagation guarantees hold at any
- * capacity: every caller that attaches to an in-flight key gets that
- * computation's result or exception. An evicted key simply recomputes
- * on its next request.
- */
-class BaselineCache
-{
-  public:
-    /** Default LRU capacity — generous: a full paper-scale sweep has
-        well under this many distinct (config, mix) baselines. */
-    static constexpr size_t kDefaultCapacity = 256;
-
-    /** @p capacity 0 means unbounded. */
-    explicit BaselineCache(size_t capacity = kDefaultCapacity);
-
-    /**
-     * Return the cached result for @p key, running @p compute (and
-     * publishing its result) if this is the first request. If compute
-     * throws, the exception propagates to every waiter of this key.
-     * Returns by value: eviction may drop the cache's own copy at any
-     * time, so no reference into the cache can be handed out safely.
-     */
-    RunResult getOrCompute(const std::string &key,
-                           const std::function<RunResult()> &compute);
-
-    size_t size() const;
-    size_t capacity() const { return cap; }
-    uint64_t evictions() const;
-
-  private:
-    struct Entry
-    {
-        std::shared_future<RunResult> fut;
-        bool ready = false; ///< result (or exception) published
-        std::list<std::string>::iterator lruIt; ///< valid when ready
-    };
-
-    void evictLocked();
-
-    mutable std::mutex mtx;
-    size_t cap;
-    uint64_t evicted = 0;
-    /** Node-based map: shared-state references outlive inserts. */
-    std::map<std::string, Entry> entries;
-    std::list<std::string> lru; ///< ready keys, most recent first
-};
-
-/**
- * Runs workloads under one RunConfig, memoizing baselines. A Runner
- * itself is not thread safe, but its baseline cache may be shared: by
- * default each Runner owns a private BaselineCache; pass a shared one
- * to deduplicate baselines across Runners and across pool workers.
+ * Runs workloads under one RunConfig, memoizing baselines per Runner.
+ * Not thread safe: concurrent workers each use their own Runner.
  */
 class Runner
 {
   public:
-    explicit Runner(const RunConfig &config,
-                    std::shared_ptr<BaselineCache> baselines = nullptr);
+    explicit Runner(const RunConfig &config) : cfg(config) {}
 
     /** Single-core run of @p w with @p pf. */
     RunResult run(const WorkloadDef &w, const PfSpec &pf);
@@ -186,7 +119,8 @@ class Runner
                       const PfSpec &pf);
 
     RunConfig cfg;
-    std::shared_ptr<BaselineCache> baselines;
+    /** Baseline runs by canonical cell text (harness/cell_key). */
+    std::map<std::string, RunResult> baselines;
 };
 
 /**

@@ -8,7 +8,7 @@
  *    measured activity, DRAM utilization counter samples.
  *  - pid 2, "host time": ts/dur are real microseconds since the sink
  *    was created (via harness/wallclock, the sanctioned host-clock
- *    shim). Campaign cells, shard workers, baseline-cache waits.
+ *    shim). Campaign cells, shard workers, daemon queue waits.
  *
  * The sink is thread-safe: host spans are recorded from thread-pool
  *workers, each on its own lazily allocated per-thread track, so the
@@ -96,7 +96,7 @@ class TraceSink
 /**
  * Process-global host-span hook: installed by a CLI when --obs-trace
  * is given, null otherwise. Subsystems that want to report host-time
- * spans (campaign engine, baseline cache) check this instead of
+ * spans (campaign engine, serve scheduler) check this instead of
  * threading a sink through every signature.
  */
 TraceSink *globalTrace();

@@ -17,7 +17,7 @@
  *  - canonicalization rewrites any valid spelling into the one
  *    canonical form — alias resolved to the primary name, options
  *    sorted by name, values normalized, schema defaults elided — so
- *    equivalent spellings share baseline-cache and campaign-cache
+ *    equivalent spellings share baseline-memo and campaign-cache
  *    entries (harness/cell_key hashes canonical text only);
  *  - introspection (gaze_sim --list-prefetchers[=json], gaze_campaign
  *    describe) renders the scheme/option/type/default/doc table

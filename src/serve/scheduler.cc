@@ -9,19 +9,16 @@ namespace serve
 {
 
 CellScheduler::CellScheduler(ResultCache &cache_,
-                             std::shared_ptr<BaselineCache> baselines_,
                              const SchedulerConfig &cfg_,
                              Executor executor)
-    : cache(cache_), baselines(std::move(baselines_)), cfg(cfg_),
-      exec(std::move(executor)),
+    : cache(cache_), cfg(cfg_), exec(std::move(executor)),
       // SIZE_MAX jobs: a daemon's pool is sized for the host, not for
       // any one batch — it stays warm across submissions.
       workerCount(resolvePoolThreads(cfg_.threads, SIZE_MAX))
 {
-    GAZE_ASSERT(baselines, "scheduler needs a baseline cache");
     if (!exec)
-        exec = [this](const RunConfig &run, const CampaignJob &job) {
-            return executeCampaignJob(run, job, baselines);
+        exec = [](const RunConfig &run, const CampaignJob &job) {
+            return executeCampaignJob(run, job);
         };
     pool = std::make_unique<ThreadPool>(workerCount);
 }

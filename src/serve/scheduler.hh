@@ -73,15 +73,14 @@ class CellScheduler
 
     /**
      * Test seam: how one job is simulated. The default executor is
-     * executeCampaignJob with the shared baseline cache; the result is
-     * always published to the result cache by the scheduler itself.
+     * executeCampaignJob; the result is always published to the
+     * result cache by the scheduler itself.
      */
     using Executor = std::function<CellRecord(const RunConfig &,
                                               const CampaignJob &)>;
 
-    CellScheduler(ResultCache &cache,
-                  std::shared_ptr<BaselineCache> baselines,
-                  const SchedulerConfig &cfg, Executor executor = {});
+    CellScheduler(ResultCache &cache, const SchedulerConfig &cfg,
+                  Executor executor = {});
     ~CellScheduler();
 
     CellScheduler(const CellScheduler &) = delete;
@@ -138,7 +137,6 @@ class CellScheduler
     void runTask(std::shared_ptr<Task> task, uint64_t hash);
 
     ResultCache &cache;
-    std::shared_ptr<BaselineCache> baselines;
     SchedulerConfig cfg;
     Executor exec;
     uint32_t workerCount;

@@ -13,15 +13,12 @@ namespace serve
 {
 
 Service::Service(const ServiceConfig &cfg_)
-    : cfg(cfg_), cache(cfg_.cacheDir),
-      baselines(
-          std::make_shared<BaselineCache>(cfg_.baselineCapacity))
+    : cfg(cfg_), cache(cfg_.cacheDir)
 {
     SchedulerConfig scfg;
     scfg.threads = cfg.threads;
     scfg.maxQueuedCells = cfg.maxQueuedCells;
-    sched = std::make_unique<CellScheduler>(cache, baselines, scfg,
-                                            cfg.executor);
+    sched = std::make_unique<CellScheduler>(cache, scfg, cfg.executor);
 }
 
 Service::~Service()
@@ -320,7 +317,6 @@ Service::statusJsonLocked()
     j.field("cache_hits", ctr.cacheHits);
     j.field("dedup_hits", ctr.dedupHits);
     j.field("queued", sched->inFlight());
-    j.field("baselines", static_cast<uint64_t>(baselines->size()));
     j.field("draining", draining);
     j.endObject();
     j.key("submissions").beginArray();

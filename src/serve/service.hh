@@ -2,10 +2,9 @@
  * @file
  * Transport-independent core of the gaze_serve daemon: sessions hand
  * in request lines, events come back through a per-session callback.
- * The Unix-socket server, the in-process tests, and the bench mode
- * all drive this same object — so everything the daemon promises
- * (admission control, dedup, the determinism contract) is provable
- * without a socket.
+ * The Unix-socket server and the in-process tests both drive this
+ * same object, so everything the daemon promises (admission control,
+ * dedup, the determinism contract) is provable without a socket.
  *
  * Determinism contract: a report produced here is byte-identical to
  * offline `gaze_campaign run` + `report` for the same spec, whatever
@@ -28,7 +27,6 @@
 
 #include "campaign/cache.hh"
 #include "campaign/spec.hh"
-#include "harness/runner.hh"
 #include "serve/protocol.hh"
 #include "serve/scheduler.hh"
 
@@ -49,9 +47,6 @@ struct ServiceConfig
 
     /** Per-client cap on submissions awaiting their report. */
     uint64_t maxClientInFlight = 8;
-
-    /** Baseline-memo LRU capacity (0 = unbounded). */
-    size_t baselineCapacity = BaselineCache::kDefaultCapacity;
 
     /** Per-submission lifecycle lines on stderr. */
     bool verbose = false;
@@ -115,7 +110,7 @@ class Service
     /** No submission is awaiting cells or report delivery. */
     bool idle() const;
 
-    /** Block until idle() (in-process tests + bench). */
+    /** Block until idle() (in-process tests). */
     void drain();
 
     ServiceCounters counters() const;
@@ -160,7 +155,6 @@ class Service
 
     ServiceConfig cfg;
     ResultCache cache;
-    std::shared_ptr<BaselineCache> baselines;
 
     mutable std::mutex mtx;
     std::condition_variable idleCv;

@@ -6,7 +6,9 @@
  * files), RunSummary equivalence with full-RunResult metric math, and
  * an in-process end-to-end: a tiny campaign run twice must serve the
  * second run entirely from cache with a byte-identical report, and
- * two complementary shards must aggregate to the unsharded result.
+ * two complementary shards must aggregate to the unsharded result;
+ * and the suite rows, including the "all" row a multi-suite workload
+ * axis adds to every group.
  */
 
 #include <gtest/gtest.h>
@@ -602,6 +604,120 @@ TEST(CampaignEndToEnd, CompareSectionReportsZeroDeltaAgainstSelf)
     EXPECT_DOUBLE_EQ(rows[0].find("speedup_delta")->asNumber(), 0.0);
     EXPECT_DOUBLE_EQ(
         compare->find("rows_without_previous")->asNumber(), 0.0);
+}
+
+// ---- suite aggregation ----------------------------------------------
+
+/** A campaign whose workload axis spans spec06 (mcf, leslie3d) and
+    ligra (PageRank-1). */
+Campaign
+twoSuiteCampaign()
+{
+    return expandCampaign(parseCampaignSpec(parseSpecText(
+        R"({"name":"two_suites","prefetchers":["ip_stride","gaze"],)"
+        R"("workloads":["mcf","PageRank-1","leslie3d"],)"
+        R"("warmup":500,"sim":2000})")));
+}
+
+/** Distinct made-up records for every job of @p campaign, so each
+    aggregate is non-trivial without simulating anything. */
+CellRecords
+syntheticRecords(const Campaign &campaign)
+{
+    CellRecords records;
+    uint64_t n = 0;
+    for (const CampaignJob &job : expandCampaignJobs(campaign)) {
+        ++n;
+        CellRecord rec;
+        rec.key = job.key;
+        rec.summary.ipc = 0.5 + 0.07 * double(n);
+        rec.summary.pfFilled = 100 + 13 * n;
+        rec.summary.pfUseful = 40 + 7 * n;
+        rec.summary.pfLate = 3 + n;
+        rec.summary.llcDemandMiss = 900 - 11 * n;
+        records.emplace(job.hash, rec);
+    }
+    return records;
+}
+
+TEST(CampaignSuiteRows, MultiSuiteGroupsEndWithOneAllRow)
+{
+    Campaign campaign = twoSuiteCampaign();
+    CampaignMetrics scored =
+        computeCampaignMetrics(campaign, syntheticRecords(campaign));
+
+    // Per (level, cores, prefetcher) group: spec06, ligra, then all.
+    const size_t nw = campaign.workloads.size();
+    const size_t groups = campaign.cells.size() / nw;
+    ASSERT_EQ(groups, 2u);
+    ASSERT_EQ(scored.suites.size(), groups * 3);
+    for (size_t g = 0; g < groups; ++g) {
+        const CampaignSuiteRow *rows = &scored.suites[g * 3];
+        EXPECT_EQ(rows[0].suite, "spec06");
+        EXPECT_EQ(rows[0].workloads, 2u);
+        EXPECT_EQ(rows[1].suite, "ligra");
+        EXPECT_EQ(rows[1].workloads, 1u);
+
+        const CampaignSuiteRow &all = rows[2];
+        EXPECT_EQ(all.suite, "all");
+        EXPECT_EQ(all.prefetcher, campaign.cells[g * nw].prefetcher);
+        EXPECT_EQ(all.workloads, nw);
+        std::vector<double> speedups;
+        double acc = 0.0, cov = 0.0, late = 0.0;
+        for (size_t wi = 0; wi < nw; ++wi) {
+            const PrefetchMetrics &m = scored.cells[g * nw + wi];
+            speedups.push_back(m.speedup);
+            acc += m.accuracy;
+            cov += m.coverage;
+            late += m.lateFraction;
+        }
+        EXPECT_EQ(all.summary.speedup, geomean(speedups));
+        EXPECT_DOUBLE_EQ(all.summary.accuracy, acc / double(nw));
+        EXPECT_DOUBLE_EQ(all.summary.coverage, cov / double(nw));
+        EXPECT_DOUBLE_EQ(all.summary.lateFraction, late / double(nw));
+        EXPECT_GT(all.summary.accuracy, 0.0);
+        EXPECT_GT(all.summary.coverage, 0.0);
+        EXPECT_GT(all.summary.lateFraction, 0.0);
+    }
+
+    // One suite on the workload axis: its row already is the total.
+    Campaign single = tinyCampaign();
+    CampaignMetrics one =
+        computeCampaignMetrics(single, syntheticRecords(single));
+    ASSERT_EQ(one.suites.size(), 1u);
+    EXPECT_EQ(one.suites[0].suite, "spec06");
+}
+
+TEST(CampaignSuiteRows, CompareMatchesAllRowsByKey)
+{
+    Campaign campaign = twoSuiteCampaign();
+    ResultCache cache(freshDir("campaign_all_rows"));
+    for (const auto &entry : syntheticRecords(campaign))
+        cache.store(entry.first, entry.second);
+
+    CampaignReport plain = buildReport(campaign, cache, nullptr);
+    JsonValue previous;
+    std::string error;
+    ASSERT_TRUE(parseJson(plain.json, &previous, &error)) << error;
+
+    // Every row, the all rows included, finds its own earlier value:
+    // the synthetic speedups differ between rows, so a row matched to
+    // any other would show a non-zero delta.
+    CampaignReport compared = buildReport(campaign, cache, &previous);
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(compared.json, &doc, &error)) << error;
+    const JsonValue *compare = doc.find("compare");
+    ASSERT_NE(compare, nullptr);
+    const auto &rows = compare->find("suites")->items();
+    ASSERT_EQ(rows.size(), plain.suites.size());
+    size_t allRows = 0;
+    for (const auto &row : rows) {
+        if (row.find("suite")->asString() == "all")
+            ++allRows;
+        EXPECT_EQ(row.find("speedup_delta")->asNumber(), 0.0);
+    }
+    EXPECT_EQ(allRows, 2u);
+    EXPECT_EQ(compare->find("rows_without_previous")->asNumber(), 0.0);
 }
 
 } // namespace

@@ -415,5 +415,15 @@ TEST(GazeCampaignCliDeath, BadFlags)
         "unknown option");
 }
 
+// ---- gaze_serve -----------------------------------------------------
+
+TEST(GazeServeCliDeath, OnlyDaemonAndClientCommands)
+{
+    // Throughput of the daemon is measured by perfbench (serve-mixed),
+    // so the binary has no in-process probe command.
+    EXPECT_DEATH(parseGazeServeArgs({"--bench"}),
+                 "unknown gaze_serve command '--bench'");
+}
+
 } // namespace
 } // namespace gaze
