@@ -14,10 +14,13 @@
 #      serving,
 #   3. resubmitting the same spec enqueues zero cells (pure cache
 #      answer) and yields the same bytes again,
-#   4. `gaze_serve status` answers one status JSON line, and
+#   4. a fresh spec on the same workloads (a new warmup) simulates 6
+#      new jobs from the traces the daemon already generated: its
+#      status still counts 2 generations, one per workload,
+#   5. `gaze_serve status` answers one status JSON line, and
 #      `gaze_campaign status --json` against the daemon's cache agrees
 #      nothing is missing,
-#   5. SIGTERM drains cleanly: the daemon exits 0 and reports what it
+#   6. SIGTERM drains cleanly: the daemon exits 0 and reports what it
 #      served; its obs trace (queue-wait/execute spans) validates.
 set -eu
 
@@ -112,11 +115,22 @@ grep -q "enqueued=0" submit2.txt
 cmp daemon_report.json daemon_report2.json
 echo "OK: repeat submission answered from cache, same bytes"
 
+echo "== fresh spec on known workloads (trace corpus stays warm)"
+sed 's/"warmup": 2000/"warmup": 3000/' spec.json > spec_fresh.json
+"$SERVE" submit --socket=./serve.sock --spec=spec_fresh.json \
+    --out=daemon_report3.json 2> submit3.txt
+cat submit3.txt
+grep -q "enqueued=6" submit3.txt
+"$SERVE" status --socket=./serve.sock > status_traces.json
+cat status_traces.json
+grep -q '"generated":2' status_traces.json
+echo "OK: 6 fresh jobs read the 2 resident traces, none regenerated"
+
 echo "== status, both producers"
 "$SERVE" status --socket=./serve.sock > status.json
 cat status.json
 grep -q '"event":"status"' status.json
-grep -q '"submits":2' status.json
+grep -q '"submits":3' status.json
 grep -q '"rejected":1' status.json
 "$CAMPAIGN" status --spec=spec.json --cache-dir=cache --json \
     > campaign_status.json

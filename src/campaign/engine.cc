@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <set>
 
@@ -17,34 +18,49 @@ namespace gaze
 std::vector<CampaignJob>
 expandCampaignJobs(const Campaign &campaign)
 {
+    // Workloads in first-appearance order, each with its baselines.
+    std::vector<std::string> order;
+    std::map<std::string, std::vector<const CampaignBaseline *>> baselines;
+    for (const auto &b : campaign.baselines) {
+        auto &of = baselines[b.workload.name];
+        if (of.empty())
+            order.push_back(b.workload.name);
+        of.push_back(&b);
+    }
+    std::map<uint64_t, std::vector<const CampaignCell *>> cellsOf;
+    for (const auto &cell : campaign.cells)
+        cellsOf[cell.baselineHash].push_back(&cell);
+
     std::set<uint64_t> queued;
     std::vector<CampaignJob> jobs;
     jobs.reserve(campaign.baselines.size() + campaign.cells.size());
-    for (const auto &b : campaign.baselines) {
-        CampaignJob job;
-        job.label = "baseline x " + b.workload.name + " ("
-                    + std::to_string(b.cores) + "c)";
-        job.key = b.key;
-        job.hash = b.hash;
-        job.cores = b.cores;
-        job.isBaseline = true;
-        job.workload = b.workload;
-        queued.insert(b.hash);
-        jobs.push_back(std::move(job));
-    }
-    for (const auto &cell : campaign.cells) {
-        if (!queued.insert(cell.hash).second)
-            continue;
-        CampaignJob job;
-        job.label = cell.pf.label() + " x " + cell.workload.name + " ("
-                    + std::to_string(cell.cores) + "c, " + cell.level
-                    + ")";
-        job.key = cell.key;
-        job.hash = cell.hash;
-        job.cores = cell.cores;
-        job.workload = cell.workload;
-        job.pf = cell.pf;
-        jobs.push_back(std::move(job));
+    for (const auto &name : order) {
+        for (const CampaignBaseline *b : baselines[name]) {
+            CampaignJob base;
+            base.label = "baseline x " + b->workload.name + " ("
+                         + std::to_string(b->cores) + "c)";
+            base.key = b->key;
+            base.hash = b->hash;
+            base.cores = b->cores;
+            base.isBaseline = true;
+            base.workload = b->workload;
+            queued.insert(b->hash);
+            jobs.push_back(std::move(base));
+            for (const CampaignCell *cell : cellsOf[b->hash]) {
+                if (!queued.insert(cell->hash).second)
+                    continue;
+                CampaignJob job;
+                job.label = cell->pf.label() + " x " + cell->workload.name
+                            + " (" + std::to_string(cell->cores) + "c, "
+                            + cell->level + ")";
+                job.key = cell->key;
+                job.hash = cell->hash;
+                job.cores = cell->cores;
+                job.workload = cell->workload;
+                job.pf = cell->pf;
+                jobs.push_back(std::move(job));
+            }
+        }
     }
     return jobs;
 }

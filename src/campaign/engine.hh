@@ -48,11 +48,14 @@ struct CampaignJob
 };
 
 /**
- * The deterministic job order of @p campaign — baselines first (they
- * are the jobs every comparison needs), then cells in expansion order,
- * each hash at most once (a spec that lists the same workload or core
- * count twice expands to duplicate cells; running both would race on
- * one cache file). Shards and the serve scheduler both derive their
+ * The deterministic job order of @p campaign: workload by workload in
+ * first-appearance order, each baseline followed by the cells scored
+ * against it (in expansion order), each hash at most once (a spec that
+ * lists the same workload or core count twice expands to duplicate
+ * cells; running both would race on one cache file). Keeping a
+ * workload's jobs together lets them share one generated trace while
+ * it is resident in the trace store (workloads/trace_store.hh), however
+ * wide the matrix. Shards and the serve scheduler both derive their
  * assignment from this sequence, so the dedup happens here, before any
  * partitioning.
  */

@@ -233,7 +233,13 @@ buildReport(const Campaign &campaign, const ResultCache &cache,
                    " cell(s) not in cache '", cache.directory(),
                    "' (first: ", first_missing,
                    ") — run the campaign (all shards) first");
+    return buildReport(campaign, records, previous);
+}
 
+CampaignReport
+buildReport(const Campaign &campaign, const CellRecords &records,
+            const JsonValue *previous)
+{
     CampaignMetrics scored = computeCampaignMetrics(campaign, records);
     CampaignReport report;
     report.suites = std::move(scored.suites);

@@ -93,6 +93,15 @@ CampaignReport buildReport(const Campaign &campaign,
                            const ResultCache &cache,
                            const JsonValue *previous);
 
+/**
+ * The same report over @p records, which must hold every cell and
+ * baseline of @p campaign by hash (the gaze_serve daemon collects them
+ * as its jobs finish or hit the cache).
+ */
+CampaignReport buildReport(const Campaign &campaign,
+                           const CellRecords &records,
+                           const JsonValue *previous);
+
 /** Render the suite rows as an aligned text table for stdout. */
 std::string reportTable(const std::vector<CampaignSuiteRow> &rows);
 

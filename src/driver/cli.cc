@@ -135,12 +135,14 @@ const char *gazeServeUsageText =
     "usage: gaze_serve <command> [options]\n"
     "\n"
     "Long-running campaign service: a daemon that keeps the result\n"
-    "cache warm and answers campaign submissions from many\n"
-    "concurrent clients over a local Unix socket. Every cell is\n"
-    "simulated at most once, ever — overlapping submissions share\n"
-    "in-flight work, repeats are pure cache hits — and a daemon\n"
-    "report is byte-identical to the offline gaze_campaign run for\n"
-    "the same spec.\n"
+    "cache and trace corpus warm and answers campaign submissions\n"
+    "from many concurrent clients over a local Unix socket. Every\n"
+    "cell is simulated at most once, ever — overlapping submissions\n"
+    "share in-flight work, repeats are pure cache hits — and each\n"
+    "workload's trace is generated once and stays resident (up to a\n"
+    "64 MiB store) for later submissions. A daemon report is\n"
+    "byte-identical to the offline gaze_campaign run for the same\n"
+    "spec.\n"
     "\n"
     "commands:\n"
     "  daemon    serve submissions on --socket until SIGTERM/SIGINT,\n"

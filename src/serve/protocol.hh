@@ -14,7 +14,8 @@
  *   rejected  admission or validation refusal, with a reason
  *   progress  one finished cell: done/total + label + seconds
  *   report    the finished submission's report + CSV documents
- *   status    live service counters + per-submission progress
+ *   status    live service counters, trace-store residency
+ *             (server.traces) + per-submission progress
  *   error     a submission failed (cell simulation threw)
  *   bye       shutdown acknowledged; the daemon drains and exits
  */

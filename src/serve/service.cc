@@ -6,6 +6,7 @@
 #include "common/log.hh"
 #include "harness/export.hh"
 #include "obs/trace.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -178,6 +179,8 @@ Service::handleSubmitLocked(uint64_t client, Session &session,
     ctr.cacheHits += outcome.cacheHits;
     ctr.dedupHits += outcome.shared;
     sub->done = outcome.cacheHits;
+    for (auto &[index, rec] : outcome.cachedNow)
+        sub->records.emplace(jobs[index].hash, std::move(rec));
     deliverLocked(client,
                   eventAccepted(sub->id, sub->total, outcome.cacheHits,
                                 outcome.shared, outcome.enqueued));
@@ -213,7 +216,9 @@ Service::onCellDone(uint64_t submissionId, const CampaignJob &job,
     std::shared_ptr<Submission> sub = it->second;
     ++sub->done;
     ++ctr.cellsExecuted;
-    if (!ok && !sub->failed) {
+    if (ok) {
+        sub->records.emplace(job.hash, rec);
+    } else if (!sub->failed) {
         sub->failed = true;
         sub->error = "cell '" + job.label + "' failed: " + error;
     }
@@ -232,11 +237,11 @@ Service::finishSubmissionLocked(const std::shared_ptr<Submission> &sub)
     if (sub->failed) {
         deliverLocked(sub->client, eventError(sub->id, sub->error));
     } else {
-        // Every job of this submission is published by now, so the
-        // report — a pure function of cache content — is complete,
-        // and byte-identical to the offline gaze_campaign pipeline.
+        // Every job of this submission has its record by now, the
+        // same record the cache holds, so the report is complete and
+        // byte-identical to the offline gaze_campaign pipeline.
         CampaignReport report =
-            buildReport(sub->campaign, cache, nullptr);
+            buildReport(sub->campaign, sub->records, nullptr);
         deliverLocked(sub->client,
                       eventReport(sub->id, sub->campaign.spec.name,
                                   report.json, report.csv));
@@ -318,6 +323,15 @@ Service::statusJsonLocked()
     j.field("dedup_hits", ctr.dedupHits);
     j.field("queued", sched->inFlight());
     j.field("draining", draining);
+    // The process-wide trace store: a fresh spec on a workload the
+    // daemon has already generated reuses the resident records.
+    TraceStoreStats traces = traceStore().stats();
+    j.key("traces").beginObject();
+    j.field("entries", traces.entries);
+    j.field("resident_bytes", traces.residentBytes);
+    j.field("generated", traces.generated);
+    j.field("reused", traces.reused);
+    j.endObject();
     j.endObject();
     j.key("submissions").beginArray();
     for (const auto &kv : submissions) {

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "campaign/cache.hh"
+#include "campaign/report.hh"
 #include "campaign/spec.hh"
 #include "serve/protocol.hh"
 #include "serve/scheduler.hh"
@@ -140,6 +141,7 @@ class Service
         uint64_t done = 0;
         bool failed = false;
         std::string error;
+        CellRecords records; ///< each finished job's record, by hash
     };
 
     void handleSubmitLocked(uint64_t client, Session &session,

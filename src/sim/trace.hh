@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -70,33 +71,54 @@ class TraceSource
     virtual void reset() = 0;
 };
 
-/** An in-memory trace (what the generators emit). */
+/**
+ * Immutable trace records, shared by every cursor that replays them
+ * (see workloads/trace_store.hh: one generation per workload serves
+ * every job and core of a process).
+ */
+using TraceRecords = std::shared_ptr<const std::vector<TraceRecord>>;
+
+/**
+ * An in-memory trace (what the generators emit): a cursor over shared,
+ * immutable records, so copying one or opening the same records for
+ * another core costs a pointer copy, never the records.
+ */
 class VectorTrace : public TraceSource
 {
   public:
-    VectorTrace() = default;
+    VectorTrace() : VectorTrace(std::vector<TraceRecord>{}) {}
     explicit VectorTrace(std::vector<TraceRecord> recs)
-        : records(std::move(recs))
+        : VectorTrace(std::make_shared<const std::vector<TraceRecord>>(
+              std::move(recs)))
+    {
+    }
+    explicit VectorTrace(TraceRecords recs)
+        : records(std::move(recs)), base(records->data()),
+          count(records->size())
     {
     }
 
     bool
     next(TraceRecord &out) override
     {
-        if (pos >= records.size())
+        if (pos >= count)
             return false;
-        out = records[pos++];
+        out = base[pos++];
         return true;
     }
 
     void reset() override { pos = 0; }
 
-    size_t size() const { return records.size(); }
-    std::vector<TraceRecord> &data() { return records; }
-    const std::vector<TraceRecord> &data() const { return records; }
+    size_t size() const { return count; }
+    const std::vector<TraceRecord> &data() const { return *records; }
+
+    /** The shared records this cursor reads. */
+    const TraceRecords &shared() const { return records; }
 
   private:
-    std::vector<TraceRecord> records;
+    TraceRecords records;
+    const TraceRecord *base;
+    size_t count;
     size_t pos = 0;
 };
 

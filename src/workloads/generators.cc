@@ -20,7 +20,7 @@ constexpr Addr hazardArena = 0xc000'0000ULL;
 VectorTrace
 genStream(const StreamParams &p)
 {
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed);
 
     std::vector<Addr> cursor(p.streams);
@@ -62,7 +62,7 @@ genTemplates(const TemplateParams &p)
 {
     GAZE_ASSERT(p.numTemplates >= 1 && p.blocksPerTemplate >= 2,
                 "degenerate template parameters");
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed);
 
     // Build the template footprints. Templates are grouped so that
@@ -172,7 +172,7 @@ genTemplates(const TemplateParams &p)
 VectorTrace
 genPointerChase(const ChaseParams &p)
 {
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed);
 
     // A precomputed random permutation cycle over the node array.
@@ -202,7 +202,7 @@ genPointerChase(const ChaseParams &p)
 VectorTrace
 genServer(const ServerParams &p)
 {
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed);
 
     // Inline a sparse-template access stream between front-end stalls.
@@ -238,7 +238,7 @@ genServer(const ServerParams &p)
 VectorTrace
 genStreamHazard(const StreamHazardParams &p)
 {
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed);
 
     uint64_t page_cursor = 0;

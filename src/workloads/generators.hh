@@ -38,6 +38,20 @@ namespace gaze
 class TraceBuilder
 {
   public:
+    TraceBuilder() = default;
+
+    /**
+     * Reserve room for @p records plus a generator's last-step
+     * overshoot, so the buffer is allocated once at its final size.
+     * The trace store keeps it resident across jobs, and a growth
+     * copy per doubling would leave freed blocks behind in the
+     * allocator of every worker thread that generated a trace.
+     */
+    explicit TraceBuilder(uint64_t records)
+    {
+        recs.reserve(records + kOvershootSlack);
+    }
+
     void
     nonMem(uint32_t count, PC pc = 0x1000)
     {
@@ -77,6 +91,9 @@ class TraceBuilder
     }
 
   private:
+    /** Records a generator's last step may emit past its target. */
+    static constexpr uint64_t kOvershootSlack = 1024;
+
     std::vector<TraceRecord> recs;
 };
 

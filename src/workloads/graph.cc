@@ -72,7 +72,7 @@ VectorTrace
 genPageRank(const GraphTraceParams &p, bool init_phase)
 {
     SyntheticGraph g = makeGraph(p.vertices, p.avgDegree, p.seed);
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed * 3 + 1);
 
     if (init_phase) {
@@ -119,7 +119,7 @@ VectorTrace
 genBfs(const GraphTraceParams &p, bool init_phase)
 {
     SyntheticGraph g = makeGraph(p.vertices, p.avgDegree, p.seed + 17);
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed * 7 + 5);
 
     if (init_phase) {
@@ -167,7 +167,7 @@ VectorTrace
 genTriangle(const GraphTraceParams &p)
 {
     SyntheticGraph g = makeGraph(p.vertices, p.avgDegree, p.seed + 41);
-    TraceBuilder tb;
+    TraceBuilder tb(p.records);
     Rng rng(p.seed * 11 + 3);
 
     uint64_t v = 0;

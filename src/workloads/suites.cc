@@ -1,14 +1,18 @@
 #include "workloads/suites.hh"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "common/log.hh"
 #include "tracing/trace_io.hh"
 #include "workloads/generators.hh"
 #include "workloads/graph.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -19,7 +23,8 @@ WorkloadDef::open() const
     if (!traceFile.empty())
         return std::make_unique<FileTrace>(traceFile);
     GAZE_ASSERT(make, "workload '", name, "' has no generator");
-    return std::make_unique<VectorTrace>(make());
+    return std::make_unique<VectorTrace>(
+        traceStore().records(workloadIdentity(*this), make));
 }
 
 double
@@ -321,18 +326,30 @@ workloadIdentity(const WorkloadDef &w)
     if (!w.traceFile.empty()) {
         // Campaign expansion derives keys for every (cell, baseline,
         // core copy), so one path is asked for thousands of times;
-        // memoize the header read. A file that changes under a live
-        // process is already undefined (FileTrace would fatal), so a
-        // process-lifetime memo is safe.
+        // memoize the header read. The memo is keyed by the file's
+        // size, mtime and inode as well as its path: a trace
+        // re-recorded under a live process (a daemon) must get its
+        // new key, or results simulated from the new file would be
+        // stored under the old one.
+        struct stat st = {};
+        if (::stat(w.traceFile.c_str(), &st) != 0)
+            return w.name + "=" + traceCacheKey(w.traceFile); // fatal
+        struct Stamp
+        {
+            uint64_t size, mtimeNs, inode;
+            bool operator==(const Stamp &) const = default;
+        };
+        Stamp stamp{uint64_t(st.st_size),
+                    uint64_t(st.st_mtim.tv_sec) * 1'000'000'000u
+                        + uint64_t(st.st_mtim.tv_nsec),
+                    uint64_t(st.st_ino)};
         static std::mutex mtx;
-        static std::map<std::string, std::string> keys;
+        static std::map<std::string, std::pair<Stamp, std::string>> keys;
         std::unique_lock<std::mutex> lock(mtx);
-        auto it = keys.find(w.traceFile);
-        if (it == keys.end())
-            it = keys.emplace(w.traceFile,
-                              traceCacheKey(w.traceFile))
-                     .first;
-        return w.name + "=" + it->second;
+        auto &memo = keys[w.traceFile];
+        if (memo.second.empty() || memo.first != stamp)
+            memo = {stamp, traceCacheKey(w.traceFile)};
+        return w.name + "=" + memo.second;
     }
     char scale[40];
     std::snprintf(scale, sizeof(scale), "%.17g", simScale());

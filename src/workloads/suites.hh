@@ -23,9 +23,13 @@ namespace gaze
 
 /**
  * A named workload belonging to a suite. A workload resolves to a
- * TraceSource one of two ways: regenerated in memory by @p make
- * (the default), or replayed from a recorded .gzt file when
- * @p traceFile is set (gaze_sim --trace-dir, see tracing/trace_io.hh).
+ * TraceSource one of two ways: generated in memory by @p make (the
+ * default), once per process through the shared trace store
+ * (workloads/trace_store.hh), or replayed from a recorded .gzt file
+ * when @p traceFile is set (gaze_sim --trace-dir, see
+ * tracing/trace_io.hh). The store keys generated traces by
+ * workloadIdentity(), so within one process a name must always
+ * denote the same generator.
  */
 struct WorkloadDef
 {
@@ -46,7 +50,8 @@ struct WorkloadDef
     /** When non-empty, open() replays this .gzt instead of make(). */
     std::string traceFile;
 
-    /** The trace this workload runs from (generator or file). */
+    /** A cursor over this workload's trace: the shared generated
+        records, or a streaming reader of the .gzt file. */
     std::unique_ptr<TraceSource> open() const;
 };
 

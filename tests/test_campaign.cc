@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -297,6 +299,43 @@ TEST(CampaignExpand, CellOrderAndBaselineDedup)
         EXPECT_EQ(again.cells[i].key, c.cells[i].key);
         EXPECT_EQ(again.cells[i].hash, c.cells[i].hash);
     }
+}
+
+TEST(CampaignExpand, JobsRunWorkloadByWorkloadEachBaselineFirst)
+{
+    Campaign c = expandCampaign(parseCampaignSpec(parseSpecText(
+        R"({"name":"order","prefetchers":["ip_stride","gaze"],)"
+        R"("workloads":["leslie3d","mcf"],"levels":["l1","l2"],)"
+        R"("cores":[1,2],"warmup":1000,"sim":4000})")));
+    std::vector<CampaignJob> jobs = expandCampaignJobs(c);
+
+    // 16 cells + 4 baselines, every hash once.
+    ASSERT_EQ(jobs.size(), 20u);
+    std::map<uint64_t, const CampaignCell *> cells;
+    for (const auto &cell : c.cells)
+        cells[cell.hash] = &cell;
+
+    // Each workload's 10 jobs are contiguous, in axis order; each
+    // (workload, cores) baseline comes first and is followed by
+    // exactly the 4 cells scored against it.
+    const std::vector<std::string> order = {"leslie3d", "mcf"};
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const CampaignJob &job = jobs[i];
+        EXPECT_EQ(job.workload.name, order[i / 10]) << job.label;
+        if (i % 5 == 0) {
+            EXPECT_TRUE(job.isBaseline) << job.label;
+            EXPECT_EQ(job.cores, i % 10 == 0 ? 1u : 2u) << job.label;
+            continue;
+        }
+        ASSERT_FALSE(job.isBaseline) << job.label;
+        ASSERT_EQ(cells.count(job.hash), 1u) << job.label;
+        EXPECT_EQ(cells[job.hash]->baselineHash, jobs[i - i % 5].hash)
+            << job.label;
+    }
+    std::set<uint64_t> hashes;
+    for (const auto &job : jobs)
+        hashes.insert(job.hash);
+    EXPECT_EQ(hashes.size(), jobs.size());
 }
 
 // ---- canonical cell keys --------------------------------------------

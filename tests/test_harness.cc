@@ -2,16 +2,22 @@
  * @file
  * Harness tests: the §IV-A3 metric formulas on synthetic run results,
  * geometric-mean aggregation, table formatting, baseline memoization
- * in the Runner, and the Table I / Table IV storage model.
+ * in the Runner, the Table I / Table IV storage model, and the trace
+ * store's contract (one generation per workload, bounded residency).
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
 #include "harness/storage_model.hh"
 #include "harness/table.hh"
 #include "workloads/generators.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -171,8 +177,14 @@ TEST(Runner, BaselineIsMemoized)
                       return genStream(p);
                   }};
     RunResult a = runner.baseline(w);
+    // A memo hit opens no trace: a re-simulation would reuse the
+    // store's copy of "tiny-stream", so `built` alone cannot tell.
+    TraceStoreStats before = traceStore().stats();
     RunResult b = runner.baseline(w);
-    EXPECT_EQ(built, 1); // the second ask came from the memo
+    TraceStoreStats after = traceStore().stats();
+    EXPECT_EQ(built, 1);
+    EXPECT_EQ(after.generated, before.generated);
+    EXPECT_EQ(after.reused, before.reused); // the second ask came from the memo
     EXPECT_GT(a.ipc(), 0.0);
     EXPECT_EQ(a.instructionsRetired, b.instructionsRetired);
     EXPECT_DOUBLE_EQ(a.ipc(), b.ipc());
@@ -249,6 +261,73 @@ TEST(Runner, SuiteSummaryAggregates)
     SuiteSummary sum = evaluateSuite(runner, suite, PfSpec{"gaze"});
     EXPECT_GT(sum.speedup, 0.9);
     EXPECT_GE(sum.accuracy, 0.0);
+}
+
+// -------------------------------------------------------- trace store
+
+TEST(TraceStore, FourCoreCellAndItsBaselineGenerateOnce)
+{
+    RunConfig cfg;
+    cfg.warmupInstr = 2000;
+    cfg.simInstr = 6000;
+    Runner runner(cfg);
+
+    int calls = 0;
+    WorkloadDef w{"store-four-core", "test", [&calls] {
+                      ++calls;
+                      StreamParams p;
+                      p.seed = 5;
+                      p.records = 20000;
+                      return genStream(p);
+                  }};
+    TraceStoreStats before = traceStore().stats();
+    // The baseline and the cell each open the trace once per core.
+    runner.evaluateMix(std::vector<WorkloadDef>(4, w), PfSpec{"ip_stride"});
+    TraceStoreStats after = traceStore().stats();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(after.generated - before.generated, 1u);
+    EXPECT_EQ(after.reused - before.reused, 7u);
+}
+
+TEST(TraceStore, EvictsLeastRecentlyUsedEntryNoCursorHolds)
+{
+    constexpr size_t kRecords = 1000;
+    constexpr uint64_t kBytes = kRecords * sizeof(TraceRecord);
+    TraceStore store(2 * kBytes); // room for two traces
+    std::map<std::string, int> calls;
+    auto open = [&](const std::string &id) {
+        return VectorTrace(store.records(id, [&calls, &id] {
+            ++calls[id];
+            return VectorTrace(std::vector<TraceRecord>(kRecords));
+        }));
+    };
+
+    VectorTrace held = open("a");
+    open("b");
+    open("c"); // over the cap: "a" is older but held, so "b" goes
+    EXPECT_EQ(store.stats().entries, 2u);
+    EXPECT_EQ(store.stats().residentBytes, 2 * kBytes);
+    open("a");
+    open("c");
+    EXPECT_EQ(calls["a"], 1);
+    EXPECT_EQ(calls["c"], 1);
+
+    open("b"); // generated again; "c" is now the LRU unheld entry
+    EXPECT_EQ(calls["b"], 2);
+    held = VectorTrace(); // release "a"
+    open("a");            // still resident
+    EXPECT_EQ(calls["a"], 1);
+    open("c"); // generated again; "b" (LRU since "a" was touched) goes
+    EXPECT_EQ(calls["c"], 2);
+    open("a");
+    EXPECT_EQ(calls["a"], 1);
+    open("b");
+    EXPECT_EQ(calls["b"], 3);
+
+    TraceStoreStats s = store.stats();
+    EXPECT_EQ(s.entries, 2u);
+    EXPECT_EQ(s.residentBytes, 2 * kBytes);
+    EXPECT_EQ(s.generated, 6u);
 }
 
 } // namespace

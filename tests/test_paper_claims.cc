@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/runner.hh"
 #include "prefetchers/factory.hh"
 #include "workloads/generators.hh"
@@ -27,10 +29,14 @@ smallConfig()
     return cfg;
 }
 
+// Each helper names its workload by seed: a process generates one trace
+// per workload identity (name + scale), so the name must tell seeds
+// apart.
+
 WorkloadDef
 conflictTemplates(uint64_t seed = 11)
 {
-    return {"conflict-templates", "test", [seed] {
+    return {"conflict-templates-" + std::to_string(seed), "test", [seed] {
                 TemplateParams p;
                 p.seed = seed;
                 p.records = 300000;
@@ -46,7 +52,7 @@ conflictTemplates(uint64_t seed = 11)
 WorkloadDef
 pureStream(uint64_t seed = 12)
 {
-    return {"pure-stream", "test", [seed] {
+    return {"pure-stream-" + std::to_string(seed), "test", [seed] {
                 StreamParams p;
                 p.seed = seed;
                 p.records = 300000;
@@ -58,7 +64,7 @@ pureStream(uint64_t seed = 12)
 WorkloadDef
 hazardMix(uint64_t seed = 13)
 {
-    return {"hazard-mix", "test", [seed] {
+    return {"hazard-mix-" + std::to_string(seed), "test", [seed] {
                 StreamHazardParams p;
                 p.seed = seed;
                 p.records = 300000;

@@ -414,6 +414,28 @@ TEST(FileTrace, ResetReplaysIdenticallyToVectorTrace)
     EXPECT_TRUE(first == again);
 }
 
+TEST(TraceIdentity, FollowsAFileReRecordedInProcess)
+{
+    // A long-lived process (a daemon) must key a re-recorded trace by
+    // its new header, not by what it read from the path before.
+    std::vector<TraceRecord> recs;
+    for (uint64_t i = 0; i < 30000; ++i)
+        recs.push_back(makeRec(0x400000 + 4 * (i % 64), 0x10000 + 64 * i,
+                               TraceOp::Load));
+    WorkloadDef w;
+    w.name = "leslie3d";
+    w.traceFile = writeTrace(
+        "rerecord.gzt", std::vector<TraceRecord>(recs.begin(),
+                                                 recs.begin() + 20000));
+    std::string before = workloadIdentity(w);
+    EXPECT_EQ(before, "leslie3d=" + traceCacheKey(w.traceFile));
+
+    writeTrace("rerecord.gzt", recs);
+    std::string after = workloadIdentity(w);
+    EXPECT_NE(after, before);
+    EXPECT_EQ(after, "leslie3d=" + traceCacheKey(w.traceFile));
+}
+
 TEST(FileTrace, HeaderAccessorMatchesProbe)
 {
     std::string path = writeTrace(

@@ -3,10 +3,11 @@
  * Concurrency stress tests, written to run race-clean under
  * ThreadSanitizer (scripts/check.sh --sanitize=thread, which runs
  * exactly the "concurrency"-labeled CTest cases). They hammer the
- * two pieces of shared-state machinery every parallel run leans
- * on — the ThreadPool and the campaign ResultCache with multiple
- * in-process shards publishing into one directory — far harder than
- * the functional tests do, so a data race introduced into either is
+ * three pieces of shared-state machinery every parallel run leans
+ * on — the ThreadPool, the campaign ResultCache with multiple
+ * in-process shards publishing into one directory, and the trace
+ * store every job opens its trace through — far harder than the
+ * functional tests do, so a data race introduced into any of them is
  * caught here before it corrupts a simulation.
  *
  * The tests also run in plain builds (tier1): the assertions hold
@@ -30,6 +31,7 @@
 #include "campaign/spec.hh"
 #include "driver/thread_pool.hh"
 #include "workloads/suites.hh"
+#include "workloads/trace_store.hh"
 
 namespace gaze
 {
@@ -172,6 +174,81 @@ TEST(TsanCampaignShards, DuplicateFullRunsRaceOnEveryCell)
     EXPECT_EQ(status.cached, 4u);
     EXPECT_EQ(status.missing, 0u);
     EXPECT_FALSE(merged.json.empty());
+}
+
+// ---- TraceStore ------------------------------------------------------
+
+constexpr int kStoreThreads = 8;
+
+/** Hold a generation open until every other thread waits on it. */
+void
+awaitWaiters(const TraceStore &store)
+{
+    while (store.stats().reused < uint64_t(kStoreThreads - 1))
+        std::this_thread::yield();
+}
+
+TEST(TsanTraceStore, ConcurrentOpensShareOneGeneration)
+{
+    TraceStore store(kTraceStoreBytes);
+    std::atomic<int> calls{0};
+    auto make = [&store, &calls] {
+        calls.fetch_add(1);
+        awaitWaiters(store);
+        return VectorTrace(std::vector<TraceRecord>(4096));
+    };
+    std::vector<const TraceRecord *> seen(kStoreThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kStoreThreads; ++t)
+        threads.emplace_back([&, t] {
+            seen[t] = store.records("one", make)->data();
+        });
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(calls.load(), 1);
+    for (const TraceRecord *p : seen)
+        EXPECT_EQ(p, seen[0]);
+    TraceStoreStats s = store.stats();
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.generated, 1u);
+    EXPECT_EQ(s.reused, uint64_t(kStoreThreads - 1));
+}
+
+TEST(TsanTraceStore, FailedGenerationReachesEveryWaiterThenRetries)
+{
+    TraceStore store(kTraceStoreBytes);
+    std::atomic<int> calls{0};
+    auto failing = [&store, &calls]() -> VectorTrace {
+        calls.fetch_add(1);
+        awaitWaiters(store);
+        throw std::runtime_error("generator failed");
+    };
+    std::atomic<int> caught{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kStoreThreads; ++t)
+        threads.emplace_back([&] {
+            try {
+                store.records("flaky", failing);
+            } catch (const std::runtime_error &e) {
+                if (std::string(e.what()) == "generator failed")
+                    caught.fetch_add(1);
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(caught.load(), kStoreThreads);
+    EXPECT_EQ(store.stats().entries, 0u);
+
+    // The failure left no entry: the next open generates again.
+    TraceRecords recs = store.records("flaky", [&calls] {
+        calls.fetch_add(1);
+        return VectorTrace(std::vector<TraceRecord>(16));
+    });
+    EXPECT_EQ(calls.load(), 2);
+    EXPECT_EQ(recs->size(), 16u);
 }
 
 } // namespace
