@@ -118,8 +118,7 @@ ResultCache::lookup(uint64_t hash, const std::string &key,
         || !countField(doc, "cycles_executed", &summary.cyclesExecuted)
         || !countField(doc, "cycles_skipped", &summary.cyclesSkipped)
         || !countField(doc, "instructions_retired",
-                       &summary.instructionsRetired)
-        || !countField(doc, "engine_flips", &summary.engineFlips)) {
+                       &summary.instructionsRetired)) {
         if (why)
             *why = file + ": malformed cell record, recomputing";
         return false;
@@ -186,7 +185,6 @@ ResultCache::store(uint64_t hash, const CellRecord &rec) const
     j.field("cycles_executed", rec.summary.cyclesExecuted);
     j.field("cycles_skipped", rec.summary.cyclesSkipped);
     j.field("instructions_retired", rec.summary.instructionsRetired);
-    j.field("engine_flips", rec.summary.engineFlips);
     j.field("minstr_per_sec", rec.summary.minstrPerSec);
     j.field("seconds", rec.seconds);
     j.key("schemes").beginArray();

@@ -32,11 +32,11 @@ const char *gazeSimUsageText =
     "                         (default: 1)\n"
     "  --threads=N            worker threads (default: hardware)\n"
     "  --engine=polled|auto (default: auto)\n"
-    "                         simulation engine: auto skips idle\n"
-    "                         cycles through the event queue and\n"
-    "                         ticks every cycle in dense phases;\n"
-    "                         polled is the metrics-identical\n"
-    "                         reference loop\n"
+    "                         simulation engine: polled ticks every\n"
+    "                         cycle and is the reference loop; auto\n"
+    "                         is the same loop, jumping the clock over\n"
+    "                         cycles on which no component can act\n"
+    "                         (metrics identical)\n"
     "  --engine-stats         print per-cell simulation speed\n"
     "                         (Minstr/s, skipped cycles, events, late\n"
     "                         prefetches) after the matrix; the JSON\n"
@@ -46,7 +46,7 @@ const char *gazeSimUsageText =
     "                         are the obs registry, name-sorted)\n"
     "  --obs-trace=FILE       write a Chrome-trace JSON (open in\n"
     "                         chrome://tracing or ui.perfetto.dev):\n"
-    "                         engine stints/flips and per-core spans\n"
+    "                         run/simulate phases and per-core spans\n"
     "                         in simulated time, the campaign shard\n"
     "                         and each cell job in host time\n"
     "  --obs-interval=N       sampler epoch in cycles for\n"

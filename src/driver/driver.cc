@@ -134,7 +134,6 @@ runGazeSim(Campaign campaign, const GazeSimOptions &opt)
         run.totalEvents += s.eventsDispatched;
         run.totalCyclesExecuted += s.cyclesExecuted;
         run.totalCyclesSkipped += s.cyclesSkipped;
-        run.totalEngineFlips += s.engineFlips;
     }
     run.metrics = computeCampaignMetrics(campaign, run.records);
     run.campaign = std::move(campaign);
@@ -236,7 +235,6 @@ gazeSimJson(const GazeSimRun &run)
     j.field("events_dispatched", run.totalEvents);
     j.field("cycles_executed", run.totalCyclesExecuted);
     j.field("cycles_skipped", run.totalCyclesSkipped);
-    j.field("engine_flips", run.totalEngineFlips);
     j.field("skip_fraction", skipFraction(run.totalCyclesExecuted,
                                           run.totalCyclesSkipped));
     j.field("minstr_per_sec", run.minstrPerSec());

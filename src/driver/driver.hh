@@ -42,7 +42,6 @@ struct GazeSimRun
     uint64_t totalEvents = 0;
     uint64_t totalCyclesExecuted = 0;
     uint64_t totalCyclesSkipped = 0;
-    uint64_t totalEngineFlips = 0; ///< auto engine mode switches
 
     /** Matrix-level Minstr/s (all simulated instructions over wall). */
     double

@@ -52,8 +52,13 @@ namespace gaze
  * and store ipc at round-trip precision, so a report computed from
  * cached records equals one computed from the runs themselves; v4
  * records lack the counters and must recompute.
+ *
+ * v6: cell records drop engine_flips (the auto engine no longer
+ * switches modes), and events_dispatched counts ticks whose wake gate
+ * was open, the same on both engines; v5 records carry the old counts
+ * and must recompute.
  */
-constexpr uint32_t kCellSchemaVersion = 5;
+constexpr uint32_t kCellSchemaVersion = 6;
 
 /**
  * The canonical, human-auditable identity text of one cell. Covers

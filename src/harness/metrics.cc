@@ -118,7 +118,6 @@ summarize(const RunResult &r)
     s.cyclesSkipped = r.engine.cyclesSkipped;
     s.minstrPerSec = r.minstrPerSec();
     s.instructionsRetired = r.instructionsRetired;
-    s.engineFlips = r.engine.engineFlips;
     return s;
 }
 

@@ -163,11 +163,9 @@ struct RunSummary
     uint64_t cyclesSkipped = 0;
     double minstrPerSec = 0.0;
 
-    // Whole-run totals gaze_sim's engine block sums (schema v5):
-    // instructions retired across cores, warmup included, and the
-    // auto engine's dispatch switches.
+    // Whole-run instructions retired across cores, warmup included,
+    // which gaze_sim's engine block sums (schema v5).
     uint64_t instructionsRetired = 0;
-    uint64_t engineFlips = 0;
 };
 
 /** Reduce a full RunResult to the metric-relevant slice. */

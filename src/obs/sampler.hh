@@ -3,7 +3,7 @@
  * Interval sampler: snapshots every registry counter at exact epoch
  * boundaries (cycle N, 2N, 3N, ...) of *simulated* time, building the
  * --obs-timeline time series (IPC, miss rates, queue occupancies,
- * engine flips — whatever the registry binds).
+ * executed cycles — whatever the registry binds).
  *
  * Exactness without perturbation: the engine calls advanceTo(c)
  * immediately before executing cycle c. Every still-pending boundary

@@ -134,7 +134,8 @@ class PrefetchBuffer
 
     /**
      * True while drain() could still make progress (or pop stale
-     * queue entries): the owner's busy() signal for the event engine.
+     * queue entries): the owner's busy() signal, which keeps its
+     * cache's wake gate open.
      */
     bool drainPending() const { return !issueQueue.empty(); }
 

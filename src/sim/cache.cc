@@ -93,14 +93,14 @@ Cache::sendRequest(const Request &req)
         if (readQ.size() >= cfg.rqSize)
             return false;
         readQ.push_back(r);
-        sched.requestWake(now());
+        gate.requestWake(now());
         return true;
       case AccessType::Writeback:
         // Writebacks are sunk unconditionally (see DESIGN.md): a full
         // WQ would otherwise deadlock fills; occupancy is still
         // tracked so DRAM write-drain pressure is realistic.
         writeQ.push_back(r);
-        sched.requestWake(now());
+        gate.requestWake(now());
         return true;
       case AccessType::Prefetch:
         if (prefetchQ.size() >= cfg.pqSize) {
@@ -108,7 +108,7 @@ Cache::sendRequest(const Request &req)
             return false;
         }
         prefetchQ.push_back(r);
-        sched.requestWake(now());
+        gate.requestWake(now());
         return true;
       case AccessType::Translation:
         break;
@@ -159,7 +159,7 @@ Cache::issuePrefetch(Addr addr, uint32_t fill_level, bool virt,
     // Covers prefetchers driven from outside this cache's tick (unit
     // tests poking onAccess by hand); from inside a tick this is a
     // no-op — the end-of-tick wake hint sees the non-empty PQ.
-    sched.requestWake(now());
+    gate.requestWake(now());
     return true;
 }
 
@@ -370,12 +370,10 @@ Cache::handlePrefetch(Request &req)
 void
 Cache::tick()
 {
-    // Wake-hint gate: skip cycles where the last tick's
-    // nextWakeCycle() proved (and no wake since lowered the bar) that
-    // ticking can have no effect — the exact cycles the event engine
-    // never dispatches, so the gated polled engine stays bit-identical
-    // to the ungated one by the same contract.
-    if (!sched.due(now()))
+    // Wake gate (see sim/wake_gate.hh): skip cycles where the last
+    // tick's nextWakeCycle() proved (and no wake since lowered the bar)
+    // that ticking can have no effect.
+    if (!gate.due(now()))
         return;
 
     deliverResponses();
@@ -410,7 +408,7 @@ Cache::tick()
     if (pf)
         pf->tick();
 
-    sched.tickDone(nextWakeCycle());
+    gate.tickDone(nextWakeCycle());
 }
 
 void
@@ -547,15 +545,15 @@ Cache::recvFill(const Request &req)
     // cache's own tick of the cycle: anything it set in motion (the
     // pending responses, a prefetcher pattern installed by onFill)
     // starts next cycle.
-    sched.requestWake(now() + 1);
+    gate.requestWake(now() + 1);
 }
 
 Cycle
 Cache::nextWakeCycle() const
 {
     // Anything queued (or retryable) makes the very next cycle
-    // potentially productive — the polled engine would process it
-    // then, so the event engine must too.
+    // potentially productive: an ungated tick would process it then,
+    // so the gate must open then too.
     if (!readQ.empty() || !writeQ.empty() || !prefetchQ.empty())
         return now() + 1;
     if (unissuedMshrs > 0)

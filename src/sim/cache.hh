@@ -22,12 +22,12 @@
 
 #include "common/ring_buffer.hh"
 #include "common/types.hh"
-#include "sim/event.hh"
 #include "sim/mshr_table.hh"
 #include "sim/prefetcher.hh"
 #include "sim/replacement.hh"
 #include "sim/request.hh"
 #include "sim/request_pool.hh"
+#include "sim/wake_gate.hh"
 
 namespace gaze
 {
@@ -207,20 +207,8 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** Current cycle (shared system clock). */
     Cycle now() const { return *clock; }
 
-    /**
-     * Join an event-driven System: subsequent queue/response activity
-     * self-schedules ticks instead of relying on per-cycle polling.
-     * @p priority is this cache's position in the polled tickAll()
-     * order, which same-cycle dispatch reproduces.
-     */
-    void
-    bindScheduler(EventQueue *eq, int priority)
-    {
-        sched.bind(eq, this, priority);
-    }
-
-    /** Event mode, run start: guarantee a tick at @p when. */
-    void wakeAt(Cycle when) { sched.bootstrapWake(when); }
+    /** The tick entry gate (System scans the hints to skip cycles). */
+    const WakeGate &wakeGate() const { return gate; }
 
     /**
      * Earliest future cycle at which tick() could have any effect:
@@ -342,7 +330,7 @@ class Cache final : public MemoryDevice, public FillReceiver
     MemoryDevice *lower;
     const Cycle *clock;
 
-    TickEvent<Cache> sched;
+    WakeGate gate;
     RequestPool *pool;
     std::unique_ptr<RequestPool> ownedPool;
 

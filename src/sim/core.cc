@@ -21,8 +21,8 @@ Core::setTrace(TraceSource *t)
     trace = t;
     // A core without a trace reports nextWakeCycle() == kNeverWake;
     // binding one creates dispatch work, so the wake hint must drop or
-    // a gated polled run would never tick this core again.
-    sched.requestWake(now());
+    // the gate would never open again.
+    gate.requestWake(now());
 }
 
 void
@@ -31,7 +31,7 @@ Core::recvFill(const Request &req)
     // Fills arrive from the L1D's tick, after this core's tick of the
     // cycle (cores tick first): whatever they unblock starts next
     // cycle, exactly as under the polled engine.
-    sched.requestWake(now() + 1);
+    gate.requestWake(now() + 1);
 
     if (req.token & storeTokenBit) {
         GAZE_ASSERT(sqOccupancy > 0, "store completion underflow");
@@ -177,7 +177,7 @@ Core::catchUpStallCounters()
 {
     Cycle t = now();
     if (t <= lastTickCycle + 1 || !trace)
-        return; // no skipped cycles (always true under polling)
+        return; // no cycle skipped since the last tick
 
     // Skipped cycles u in [lastTickCycle+1, t-1]: the polled engine
     // would have run dispatch() on each with unchanged state, landing
@@ -198,10 +198,10 @@ Core::catchUpStallCounters()
 void
 Core::tick()
 {
-    // Wake-hint gate (see TickEvent): skip cycles proven unproductive
+    // Wake gate (see sim/wake_gate.hh): skip cycles proven unproductive
     // by the last tick's nextWakeCycle(). catchUpStallCounters()
     // keeps the per-cycle stall counters exact across the skips.
-    if (!sched.due(now()))
+    if (!gate.due(now()))
         return;
 
     catchUpStallCounters();
@@ -210,7 +210,7 @@ Core::tick()
     issueLoads();
     dispatch();
     lastTickCycle = now();
-    sched.tickDone(nextWakeCycle());
+    gate.tickDone(nextWakeCycle());
 }
 
 Cycle

@@ -15,9 +15,9 @@
 #include <deque>
 
 #include "common/types.hh"
-#include "sim/event.hh"
 #include "sim/request.hh"
 #include "sim/trace.hh"
+#include "sim/wake_gate.hh"
 
 namespace gaze
 {
@@ -69,15 +69,8 @@ class Core final : public FillReceiver
     /** Total retired instructions since construction. */
     uint64_t retired() const { return retiredCount; }
 
-    /** Join an event-driven System (priority = tickAll() position). */
-    void
-    bindScheduler(EventQueue *eq, int priority)
-    {
-        sched.bind(eq, this, priority);
-    }
-
-    /** Event mode, run start: guarantee a tick at @p when. */
-    void wakeAt(Cycle when) { sched.bootstrapWake(when); }
+    /** The tick entry gate (System scans the hints to skip cycles). */
+    const WakeGate &wakeGate() const { return gate; }
 
     /**
      * Earliest future cycle a tick could retire, issue, or dispatch
@@ -87,10 +80,10 @@ class Core final : public FillReceiver
     Cycle nextWakeCycle() const;
 
     /**
-     * Counters, settled: stall cycles accrue lazily across gate- or
-     * event-skipped stretches (see catchUpStallCounters), so reading
+     * Counters, settled: stall cycles accrue lazily across gate-
+     * skipped stretches (see catchUpStallCounters), so reading
      * through here first accounts everything up to the previous
-     * cycle — exactly what the ungated polled engine would show. The
+     * cycle — exactly what ungated ticks would have shown. The
      * settle arithmetic is a pure function of component state, so it
      * cannot perturb engine bit-identity.
      */
@@ -139,8 +132,8 @@ class Core final : public FillReceiver
     void dispatch();
 
     /**
-     * Account the stall counters for cycles the event engine skipped:
-     * the polled engine increments robFullCycles/frontendStallCycles
+     * Account the stall counters for cycles the wake gate skipped: an
+     * ungated tick would increment robFullCycles/frontendStallCycles
      * every idle cycle, so a sleeping core adds the arithmetic
      * equivalent on wake-up. The core state is provably unchanged
      * across the skipped window (it slept because no tick could act,
@@ -166,7 +159,7 @@ class Core final : public FillReceiver
     uint32_t sqOccupancy = 0;
     Cycle frontendStallUntil = 0;
 
-    TickEvent<Core> sched;
+    WakeGate gate;
     Cycle lastTickCycle = 0;      ///< catch-up baseline
     bool issueBlockedOnL1d = false; ///< l1d rejected a send this tick
 

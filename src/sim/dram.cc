@@ -94,13 +94,13 @@ Dram::sendRequest(const Request &req)
         // Writes are sunk unconditionally; drain mode keeps occupancy
         // bounded in practice (see Cache::sendRequest rationale).
         ch.wq.push_back(q);
-        sched.requestWake(now());
+        gate.requestWake(now());
         return true;
     }
     if (ch.rq.size() >= cfg.rqSize)
         return false;
     ch.rq.push_back(q);
-    sched.requestWake(now());
+    gate.requestWake(now());
     return true;
 }
 
@@ -279,11 +279,11 @@ Dram::nextWakeCycle() const
 void
 Dram::tick()
 {
-    // Wake-hint gate (see TickEvent). Epoch boundaries crossed while
+    // Wake gate (see sim/wake_gate.hh). Epoch boundaries crossed while
     // skipping are reconstructed exactly by catchUpEpochs(), and
     // recentUtilization() is already sleep-aware; settle() replays the
     // skipped cycles' channel state.
-    if (!sched.due(now()))
+    if (!gate.due(now()))
         return;
 
     settle();
@@ -309,7 +309,7 @@ Dram::tick()
         epochStart += epochLength;
     }
 
-    sched.tickDone(nextWakeCycle());
+    gate.tickDone(nextWakeCycle());
 }
 
 double

@@ -18,8 +18,8 @@
 
 #include "common/ring_buffer.hh"
 #include "common/types.hh"
-#include "sim/event.hh"
 #include "sim/request.hh"
+#include "sim/wake_gate.hh"
 
 namespace gaze
 {
@@ -100,15 +100,8 @@ class Dram final : public MemoryDevice
      */
     double recentUtilization() const;
 
-    /** Join an event-driven System (priority = tickAll() position). */
-    void
-    bindScheduler(EventQueue *eq, int priority)
-    {
-        sched.bind(eq, this, priority);
-    }
-
-    /** Event mode, run start: guarantee a tick at @p when. */
-    void wakeAt(Cycle when) { sched.bootstrapWake(when); }
+    /** The tick entry gate (System scans the hints to skip cycles). */
+    const WakeGate &wakeGate() const { return gate; }
 
     /**
      * Earliest future cycle a tick could issue a command or deliver a
@@ -244,7 +237,7 @@ class Dram final : public MemoryDevice
     DramParams cfg;
     const Cycle *clock;
 
-    TickEvent<Dram> sched;
+    WakeGate gate;
 
     std::vector<Channel> channels;
     std::priority_queue<Completion, std::vector<Completion>,

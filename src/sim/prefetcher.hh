@@ -118,9 +118,9 @@ class Prefetcher
 
     /**
      * True while tick() has pending work (a prefetch buffer still
-     * draining). The event-driven engine keeps the attached cache
-     * ticking every cycle this returns true; schemes whose tick() is
-     * a no-op keep the default and never force a wake-up.
+     * draining). The attached cache keeps its wake gate open every
+     * cycle this returns true; schemes whose tick() is a no-op keep
+     * the default and never force a wake-up.
      */
     virtual bool busy() const { return false; }
 

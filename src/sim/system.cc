@@ -11,38 +11,6 @@
 namespace gaze
 {
 
-namespace
-{
-
-// ---- Auto-engine policy knobs (all deterministic, all counted in ----
-// ---- cycles, so the adaptive schedule replays identically). ----
-
-/**
- * Executed cycles per event-dispatch measurement stint. Deliberately
- * short: on a dense workload every event-dispatched cycle costs a few
- * times a polled tick, and the startup stint is pure overhead until
- * the first flip — 1k cycles keeps that under ~3% even for tiny runs
- * while still sampling enough cycles for a stable skip fraction.
- */
-constexpr uint64_t kAutoEventStint = 1024;
-
-/** Stint skip fraction at or above which event dispatch is a win. */
-constexpr double kAutoSkipThreshold = 0.20;
-
-/** First polled stint length; doubles per failed event trial. */
-constexpr uint64_t kAutoPolledStintBase = 1ull << 16;
-
-/** Polled-stint backoff ceiling (~4.2M cycles). */
-constexpr uint64_t kAutoPolledStintMax = 1ull << 22;
-
-/** Polled stints probe component wakes every this many cycles. */
-constexpr uint64_t kAutoProbePeriod = 1024;
-
-/** Idle gap (cycles) that ends a polled stint early: flip to event. */
-constexpr uint64_t kAutoFlipGap = 256;
-
-} // namespace
-
 const char *
 engineKindName(EngineKind kind)
 {
@@ -67,7 +35,7 @@ parseEngineKind(const std::string &name)
 }
 
 System::System(const SystemConfig &config)
-    : cfg(config), autoPolledStintLen(kAutoPolledStintBase), vm(34)
+    : cfg(config), vm(34)
 {
     GAZE_ASSERT(cfg.numCores >= 1 && cfg.numCores <= kMaxCores,
                 "bad core count");
@@ -138,19 +106,14 @@ System::System(const SystemConfig &config)
                                                &clock));
     }
 
-    if (cfg.engine != EngineKind::Polled) {
-        // Priorities reproduce tickAll()'s fixed order: all cores,
-        // then L1Ds, L2s, the LLC, DRAM last — so same-cycle events
-        // dispatch exactly as the polled engine ticks.
-        int n = static_cast<int>(cfg.numCores);
-        for (uint32_t c = 0; c < cfg.numCores; ++c) {
-            cores[c]->bindScheduler(&eq, static_cast<int>(c));
-            l1ds[c]->bindScheduler(&eq, n + static_cast<int>(c));
-            l2s[c]->bindScheduler(&eq, 2 * n + static_cast<int>(c));
-        }
-        llcCache->bindScheduler(&eq, 3 * n);
-        dramCtrl->bindScheduler(&eq, 3 * n + 1);
-    }
+    for (const auto &c : cores)
+        gates.push_back(&c->wakeGate());
+    for (const auto &c : l1ds)
+        gates.push_back(&c->wakeGate());
+    for (const auto &c : l2s)
+        gates.push_back(&c->wakeGate());
+    gates.push_back(&llcCache->wakeGate());
+    gates.push_back(&dramCtrl->wakeGate());
 }
 
 System::~System()
@@ -221,12 +184,10 @@ System::bindObsCounters(obs::Registry *reg)
     reg->bindCounter(prefix + "." #f, &s.f);
 #define GAZE_OBS_CORE_STAT(f)
 #define GAZE_OBS_DRAM_STAT(f)
-#define GAZE_OBS_EVENT_STAT(f)
 #include "obs/stat_names.inc"
 #undef GAZE_OBS_CACHE_STAT
 #undef GAZE_OBS_CORE_STAT
 #undef GAZE_OBS_DRAM_STAT
-#undef GAZE_OBS_EVENT_STAT
         reg->bindGauge(prefix + ".pqOccupancy",
                        [c] { return uint64_t(c->pqOccupancy()); });
         reg->bindGauge(prefix + ".mshrOccupancy",
@@ -240,12 +201,10 @@ System::bindObsCounters(obs::Registry *reg)
 #define GAZE_OBS_CORE_STAT(f)                                              \
     reg->bindCounter("core" + n + "." #f, &s.f);
 #define GAZE_OBS_DRAM_STAT(f)
-#define GAZE_OBS_EVENT_STAT(f)
 #include "obs/stat_names.inc"
 #undef GAZE_OBS_CACHE_STAT
 #undef GAZE_OBS_CORE_STAT
 #undef GAZE_OBS_DRAM_STAT
-#undef GAZE_OBS_EVENT_STAT
         bindCache("l1d" + n, l1ds[c].get());
         bindCache("l2" + n, l2s[c].get());
     }
@@ -253,27 +212,21 @@ System::bindObsCounters(obs::Registry *reg)
 
     {
         const DramStats &s = dramCtrl->stats();
-        const EventQueueStats &q = eq.stats();
 #define GAZE_OBS_CACHE_STAT(f)
 #define GAZE_OBS_CORE_STAT(f)
 #define GAZE_OBS_DRAM_STAT(f) reg->bindCounter("dram." #f, &s.f);
-#define GAZE_OBS_EVENT_STAT(f) reg->bindCounter("eventq." #f, &q.f);
 #include "obs/stat_names.inc"
 #undef GAZE_OBS_CACHE_STAT
 #undef GAZE_OBS_CORE_STAT
 #undef GAZE_OBS_DRAM_STAT
-#undef GAZE_OBS_EVENT_STAT
     }
 
-    // Engine-speed counters: deterministic per engine kind, not
-    // across kinds (cross-engine comparisons must filter "engine.*"
-    // and "eventq.*" out, exactly as EngineStats is excluded from the
-    // bitwise differential checks).
+    // Engine-speed counters: deterministic per engine kind, not across
+    // kinds (the polled engine executes every cycle), so cross-engine
+    // comparisons filter "engine.*" out.
     reg->bindCounter("engine.cycle", &clock);
     reg->bindCounter("engine.executedCycles", &executedCycles);
     reg->bindCounter("engine.dispatchedEvents", &dispatchedEvents);
-    reg->bindCounter("engine.flips", &statEngineFlips);
-    reg->bindCounter("engine.polledCycles", &statPolledCycles);
 }
 
 void
@@ -297,7 +250,7 @@ System::setObsTrace(obs::TraceSink *sink, const std::string &label)
 }
 
 void
-System::obsStintSpan(const char *name, Cycle begin)
+System::obsPhaseSpan(const char *name, Cycle begin)
 {
     if (!obsTrace || clock < begin)
         return;
@@ -308,107 +261,54 @@ System::obsStintSpan(const char *name, Cycle begin)
 }
 
 void
-System::tickComponents()
-{
-    for (auto &c : cores)
-        c->tick();
-    for (auto &c : l1ds)
-        c->tick();
-    for (auto &c : l2s)
-        c->tick();
-    llcCache->tick();
-    dramCtrl->tick();
-}
-
-void
 System::tickAll()
 {
-    tickComponents();
-    ++clock;
-    ++executedCycles;
-    ++statPolledCycles;
-    dispatchedEvents += 3 * uint64_t(cfg.numCores) + 2;
-}
-
-void
-System::scheduleAll()
-{
-    // Arm every component at the current cycle so a (re)started run
-    // considers it, exactly like the polled engine's unconditional
-    // first tickAll(). Anything already scheduled earlier keeps its
-    // slot; anything stranded in the past by a cycle-cap jump (or
-    // gone stale across an auto-engine polled stint) is pulled
-    // forward or superseded.
+    // A tick returns at a closed gate, so only open gates get a call;
+    // a gate can still open mid-pass (a core's send wakes its L1D).
+    uint64_t ticked = 0;
+    auto tickIfDue = [&](auto &c) {
+        if (c.wakeGate().due(clock)) {
+            c.tick();
+            ++ticked;
+        }
+    };
     for (auto &c : cores)
-        c->wakeAt(clock);
+        tickIfDue(*c);
     for (auto &c : l1ds)
-        c->wakeAt(clock);
+        tickIfDue(*c);
     for (auto &c : l2s)
-        c->wakeAt(clock);
-    llcCache->wakeAt(clock);
-    dramCtrl->wakeAt(clock);
+        tickIfDue(*c);
+    tickIfDue(*llcCache);
+    tickIfDue(*dramCtrl);
+    dispatchedEvents += ticked;
+    ++executedCycles;
+    ++clock;
 }
 
 Cycle
-System::minNextWakeCycle() const
+System::earliestWake() const
 {
     Cycle m = kNeverWake;
-    for (const auto &c : cores)
-        m = std::min(m, c->nextWakeCycle());
-    for (const auto &c : l1ds)
-        m = std::min(m, c->nextWakeCycle());
-    for (const auto &c : l2s)
-        m = std::min(m, c->nextWakeCycle());
-    m = std::min(m, llcCache->nextWakeCycle());
-    m = std::min(m, dramCtrl->nextWakeCycle());
+    for (const WakeGate *g : gates) {
+        m = std::min(m, g->next());
+        if (m <= clock)
+            break;
+    }
     return m;
 }
 
 template <typename DoneFn, typename PostCycleFn>
-System::LoopExit
-System::eventStint(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
-{
-    scheduleAll();
-    uint64_t execBase = executedCycles;
-    while (!done()) {
-        if (executedCycles - execBase >= kAutoEventStint)
-            return LoopExit::Stint;
-        Cycle next = eq.nextEventCycle();
-        if (next == EventQueue::kNoEvent) {
-            // Every component asleep with targets unmet: the polled
-            // engine would spin no-op cycles to the cap; jump there.
-            clock = cap;
-            return LoopExit::Capped;
-        }
-        if (next < clock) {
-            // A cycle flagged only by superseded entries (lazy
-            // deschedule): drain it without touching the clock.
-            size_t stale = eq.dispatchCycle(next);
-            GAZE_ASSERT(stale == 0, "live event behind the clock");
-            continue;
-        }
-        if (next >= cap) {
-            clock = cap;
-            return LoopExit::Capped;
-        }
-        clock = next;
-        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(next););
-        size_t n = eq.dispatchCycle(next);
-        clock = next + 1;
-        if (n > 0) {
-            ++executedCycles;
-            dispatchedEvents += n;
-            post();
-        }
-    }
-    return LoopExit::Done;
-}
-
-template <typename DoneFn, typename PostCycleFn>
 bool
-System::polledLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
+System::driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
 {
+    const bool jump = cfg.engine == EngineKind::Auto;
     while (!done()) {
+        // Auto's one step beyond polling: while every wake gate is
+        // closed, each polled tick would return at its gate, so jump
+        // to the earliest hint, or to the cap when no component will
+        // ever wake again (a wedged run).
+        if (jump)
+            clock = std::max(clock, std::min(earliestWake(), cap));
         if (clock >= cap)
             return false;
         GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
@@ -416,128 +316,6 @@ System::polledLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
         post();
     }
     return true;
-}
-
-template <typename DoneFn, typename PostCycleFn>
-System::LoopExit
-System::polledStint(uint64_t cap, uint64_t stint_len, DoneFn &&done,
-                    PostCycleFn &&post)
-{
-    uint64_t ticked = 0;
-    while (true) {
-        if (done())
-            return LoopExit::Done;
-        if (clock >= cap)
-            return LoopExit::Capped;
-        if (ticked >= stint_len)
-            return LoopExit::Stint;
-
-        // Execute the cycle `clock` points at. The wake probe (every
-        // kAutoProbePeriod-th cycle) must run while the clock still
-        // names the cycle just ticked: nextWakeCycle() answers
-        // relative to now(), and post-tick it is always > now(), so a
-        // min over every component bounds the first future cycle any
-        // tick could matter — the same argument that makes event
-        // dispatch's skips exact.
-        bool probe = (clock & (kAutoProbePeriod - 1)) == 0;
-        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
-        tickComponents();
-        Cycle wake = probe ? minNextWakeCycle() : 0;
-        ++clock;
-        ++executedCycles;
-        ++statPolledCycles;
-        ++ticked;
-        dispatchedEvents += 3 * uint64_t(cfg.numCores) + 2;
-        post();
-
-        if (probe) {
-            if (wake == kNeverWake) {
-                // Nothing will ever self-wake again: either the run
-                // just finished, or it is wedged — jump to the cap
-                // exactly as event dispatch does.
-                if (done())
-                    return LoopExit::Done;
-                clock = cap;
-                return LoopExit::Capped;
-            }
-            if (wake > clock) {
-                uint64_t gap = wake - clock;
-                clock = std::min(wake, cap);
-                if (gap >= kAutoFlipGap) {
-                    // A real idle stretch: event dispatch will win.
-                    return LoopExit::Stint;
-                }
-            }
-        }
-    }
-}
-
-template <typename DoneFn, typename PostCycleFn>
-bool
-System::autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
-{
-    // Policy: run event-driven by default, measuring the skip
-    // fraction over fixed stints of executed cycles. A dense stint
-    // (skip < kAutoSkipThreshold) parks the event queue and ticks the
-    // polled way for autoPolledStintLen cycles — doubling per failed
-    // event re-trial so steady dense workloads pay the trial tax
-    // geometrically less often — while a periodic wake probe inside
-    // the polled stint still skips (and flips out of) genuinely idle
-    // stretches. Every transition is a function of executed-cycle
-    // counts only, so a given run always takes the same path.
-    [[maybe_unused]] Cycle stintBegin = clock;
-    while (true) {
-        if (!autoInPolled) {
-            eq.resume();
-            Cycle clockBase = clock;
-            uint64_t execBase = executedCycles;
-            LoopExit ex = eventStint(cap, done, post);
-            if (ex == LoopExit::Done || ex == LoopExit::Capped) {
-                GAZE_OBS_HOOK(obsStintSpan("event stint", stintBegin););
-                return ex == LoopExit::Done;
-            }
-            uint64_t delta = clock - clockBase;
-            uint64_t exec = executedCycles - execBase;
-            double skip =
-                delta ? double(delta - exec) / double(delta) : 0.0;
-            if (skip >= kAutoSkipThreshold) {
-                // Healthy skipping: stay event, forget the backoff.
-                autoPolledStintLen = kAutoPolledStintBase;
-                continue;
-            }
-            eq.suspend();
-            ++statEngineFlips;
-            GAZE_OBS_HOOK(obsStintSpan("event stint", stintBegin);
-                          stintBegin = clock;);
-            autoInPolled = true;
-        } else {
-            uint64_t stint = autoPolledStintLen;
-            autoPolledStintLen =
-                std::min(autoPolledStintLen * 2, kAutoPolledStintMax);
-            LoopExit ex = polledStint(cap, stint, done, post);
-            if (ex == LoopExit::Done || ex == LoopExit::Capped) {
-                GAZE_OBS_HOOK(obsStintSpan("polled stint", stintBegin););
-                return ex == LoopExit::Done;
-            }
-            // Stint over (or an idle gap opened): trial event mode.
-            // scheduleAll() at eventStint entry re-arms every
-            // component, repairing whatever went stale in the queue
-            // while it was suspended.
-            ++statEngineFlips;
-            GAZE_OBS_HOOK(obsStintSpan("polled stint", stintBegin);
-                          stintBegin = clock;);
-            autoInPolled = false;
-        }
-    }
-}
-
-template <typename DoneFn, typename PostCycleFn>
-bool
-System::driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
-{
-    if (cfg.engine == EngineKind::Polled)
-        return polledLoop(cap, done, post);
-    return autoLoop(cap, done, post);
 }
 
 void
@@ -560,7 +338,7 @@ System::run(uint64_t instr_per_core)
     [[maybe_unused]] Cycle runBegin = clock;
     if (!driveLoop(cap, all_done, [] {}))
         GAZE_WARN("run() hit the cycle cap; simulation wedged?");
-    GAZE_OBS_HOOK(obsStintSpan("run", runBegin););
+    GAZE_OBS_HOOK(obsPhaseSpan("run", runBegin););
 }
 
 void
@@ -610,7 +388,7 @@ System::simulate(uint64_t instr_per_core)
     };
 
     driveLoop(cap, [&] { return remaining == 0; }, recordFinishers);
-    GAZE_OBS_HOOK(obsStintSpan("simulate", start););
+    GAZE_OBS_HOOK(obsPhaseSpan("simulate", start););
 
     if (remaining > 0)
         GAZE_WARN("simulate() hit the cycle cap with ", remaining,
@@ -633,8 +411,6 @@ System::engineStats() const
     s.cyclesExecuted = executedCycles;
     s.cyclesSkipped = clock - executedCycles;
     s.eventsDispatched = dispatchedEvents;
-    s.engineFlips = statEngineFlips;
-    s.polledCycles = statPolledCycles;
     return s;
 }
 

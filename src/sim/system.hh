@@ -16,11 +16,11 @@
 #include "sim/cache.hh"
 #include "sim/core.hh"
 #include "sim/dram.hh"
-#include "sim/event.hh"
 #include "sim/prefetcher.hh"
 #include "sim/request_pool.hh"
 #include "sim/trace.hh"
 #include "sim/vmem.hh"
+#include "sim/wake_gate.hh"
 
 namespace gaze
 {
@@ -34,17 +34,16 @@ class TraceSink;
 
 /**
  * How the system advances time. Both engines produce bit-identical
- * metrics (test_engine / test_engine_diff assert it). Polled ticks
- * every component every cycle and is the reference implementation
- * and bench_engine baseline; Auto, the default, skips idle cycles
- * through the event queue and flips to polled dispatch mid-run
- * whenever a stint measures too little to skip, so dense workloads do
- * not pay the event queue's overhead.
+ * metrics (test_engine / test_engine_diff assert it). Polled runs
+ * tickAll() every cycle and is the reference implementation and
+ * bench_engine baseline; Auto, the default, is the same loop plus one
+ * step: when every component's wake gate is closed at the clock, it
+ * jumps the clock to the earliest wake hint.
  */
 enum class EngineKind
 {
-    Polled, ///< classic tickAll() loop
-    Auto    ///< adaptive: event stints skip idle cycles, dense go polled
+    Polled, ///< tickAll() every cycle
+    Auto    ///< tickAll() at the earliest open wake gate
 };
 
 /** CLI name of an engine ("polled" / "auto"). */
@@ -107,11 +106,10 @@ struct EngineStats
 {
     EngineKind kind = EngineKind::Auto;
     uint64_t cyclesTotal = 0;      ///< simulated cycles (clock)
-    uint64_t cyclesExecuted = 0;   ///< cycles at least one event ran
+    uint64_t cyclesExecuted = 0;   ///< cycles tickAll() ran
     uint64_t cyclesSkipped = 0;    ///< idle cycles jumped over
-    uint64_t eventsDispatched = 0; ///< component ticks performed
-    uint64_t engineFlips = 0;      ///< auto-mode dispatch switches
-    uint64_t polledCycles = 0;     ///< cycles run by polled dispatch
+    /** Ticks whose wake gate was open: equal across engines. */
+    uint64_t eventsDispatched = 0;
 
     const char *kindName() const { return engineKindName(kind); }
 
@@ -190,8 +188,8 @@ class System
     /**
      * Bind every counter and occupancy gauge of this system into
      * @p reg under the obs naming scheme (core<i>.*, l1d<i>.*,
-     * l2<i>.*, llc.*, dram.*, eventq.*, engine.*). The registry must
-     * not outlive the system.
+     * l2<i>.*, llc.*, dram.*, engine.*). The registry must not outlive
+     * the system.
      */
     void bindObsCounters(obs::Registry *reg);
 
@@ -203,8 +201,8 @@ class System
     void setObsSampler(obs::IntervalSampler *sampler);
 
     /**
-     * Attach a trace sink for simulated-time spans (engine stints,
-     * per-core measured activity, DRAM utilization samples);
+     * Attach a trace sink for simulated-time spans (run and simulate
+     * phases, per-core measured activity, DRAM utilization samples);
      * @p label prefixes this system's track names.
      */
     void setObsTrace(obs::TraceSink *sink, const std::string &label);
@@ -225,56 +223,26 @@ class System
     const SystemConfig &config() const { return cfg; }
 
   private:
-    /** How an inner simulation loop stopped. */
-    enum class LoopExit
-    {
-        Done,  ///< the done() predicate fired
-        Capped,///< cycle cap reached (or wedged: nothing schedulable)
-        Stint  ///< stint budget exhausted / adaptive flip requested
-    };
-
-    /** Tick every component once at the current cycle (no clock). */
-    void tickComponents();
-
-    /** tickComponents() plus the clock/speed-counter bookkeeping. */
+    /**
+     * Tick, in the fixed order (cores, L1Ds, L2s, LLC, DRAM), every
+     * component whose wake gate is open at the current cycle, then
+     * advance the clock and the speed counters.
+     */
     void tickAll();
 
-    /** Event stint: make sure every component considers cycle `clock`. */
-    void scheduleAll();
-
-    /** Earliest next wake over every component (kNeverWake if none). */
-    Cycle minNextWakeCycle() const;
+    /**
+     * Earliest wake hint over every component (kNeverWake if none).
+     * Stops at the first gate already open at the clock, whose hint
+     * is then returned: no jump is possible.
+     */
+    Cycle earliestWake() const;
 
     /**
-     * One event stint of the auto engine: advance the clock to each
-     * next event cycle and dispatch it, until @p done returns true
-     * (checked between cycles, exactly where the polled loops check),
-     * the cycle cap is hit, or kAutoEventStint more cycles have
-     * executed.
+     * Run cycles until @p done returns true (checked between cycles)
+     * or the clock reaches @p cap; @p post runs after every executed
+     * cycle. Returns false at the cap. Auto jumps the clock over
+     * cycles on which every wake gate is closed.
      */
-    template <typename DoneFn, typename PostCycleFn>
-    LoopExit eventStint(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
-
-    /** Classic tick-every-cycle loop (engine == Polled). */
-    template <typename DoneFn, typename PostCycleFn>
-    bool polledLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
-
-    /**
-     * One polled stint of the auto engine: tick up to @p stint_len
-     * cycles without the event queue, probing the components'
-     * nextWakeCycle() periodically so genuinely idle stretches are
-     * still skipped exactly; an idle gap of kAutoFlipGap+ cycles ends
-     * the stint early (flip back to event dispatch).
-     */
-    template <typename DoneFn, typename PostCycleFn>
-    LoopExit polledStint(uint64_t cap, uint64_t stint_len, DoneFn &&done,
-                         PostCycleFn &&post);
-
-    /** Adaptive loop (engine == Auto): see system.cc for the policy. */
-    template <typename DoneFn, typename PostCycleFn>
-    bool autoLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
-
-    /** Dispatch to the loop this config's engine runs. */
     template <typename DoneFn, typename PostCycleFn>
     bool driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post);
 
@@ -282,31 +250,21 @@ class System
     uint16_t schemeIdFor(const std::string &name, uint32_t level);
 
     /**
-     * Obs trace: emit one engine-stint span [begin, clock) plus a
-     * DRAM-utilization counter sample. No-op without a sink.
+     * Obs trace: emit one span [begin, clock) on the engine track plus
+     * a DRAM-utilization counter sample. No-op without a sink.
      */
-    void obsStintSpan(const char *name, Cycle begin);
+    void obsPhaseSpan(const char *name, Cycle begin);
 
     SystemConfig cfg;
     Cycle clock = 0;
 
-    // Scheduler and pool are declared before the components so they
-    // outlive them: component destructors return waiter chains to the
-    // pool, and dangling tick events must never outlive the queue.
-    EventQueue eq;
+    // The pool is declared before the components so it outlives them:
+    // component destructors return waiter chains to it.
     RequestPool pool;
 
     // Engine-speed accounting (see EngineStats).
     uint64_t executedCycles = 0;
     uint64_t dispatchedEvents = 0;
-    uint64_t statEngineFlips = 0;
-    uint64_t statPolledCycles = 0;
-
-    // Auto-engine state: which dispatch strategy is live, and the
-    // exponential-backoff length of the next polled stint (reset when
-    // an event stint measures a healthy skip fraction).
-    bool autoInPolled = false;
-    uint64_t autoPolledStintLen;
 
     VirtualMemory vm;
     std::unique_ptr<Dram> dramCtrl;
@@ -315,6 +273,9 @@ class System
     std::vector<std::unique_ptr<Cache>> l1ds;
     std::vector<std::unique_ptr<Core>> cores;
     std::vector<std::unique_ptr<Prefetcher>> ownedPrefetchers;
+
+    /** Every component's wake gate, in tickAll() order. */
+    std::vector<const WakeGate *> gates;
 
     // Obs attachment points (see src/obs/): null/empty when unused,
     // and every hot-path touch point is compiled out with GAZE_OBS.

@@ -390,7 +390,9 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
     rec.summary.pfLate = 5;
     rec.summary.llcDemandMiss = 1234;
     rec.summary.instructionsRetired = 60000;
-    rec.summary.engineFlips = 7;
+    rec.summary.eventsDispatched = 7;
+    rec.summary.cyclesExecuted = 11;
+    rec.summary.cyclesSkipped = 13;
     rec.seconds = 0.5;
     uint64_t hash = cellHash(rec.key);
 
@@ -405,7 +407,9 @@ TEST(ResultCacheTest, StoreLookupRoundTrip)
     EXPECT_EQ(out.summary.pfLate, 5u);
     EXPECT_EQ(out.summary.llcDemandMiss, 1234u);
     EXPECT_EQ(out.summary.instructionsRetired, 60000u);
-    EXPECT_EQ(out.summary.engineFlips, 7u);
+    EXPECT_EQ(out.summary.eventsDispatched, 7u);
+    EXPECT_EQ(out.summary.cyclesExecuted, 11u);
+    EXPECT_EQ(out.summary.cyclesSkipped, 13u);
 
     // The IPC comes back bit for bit, so a cached cell scores exactly
     // like the run that produced it (10 printed digits would not).

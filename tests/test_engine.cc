@@ -1,26 +1,23 @@
 /**
  * @file
- * Engine suite: timing-wheel ordering/rollover property tests,
- * same-cycle dispatch determinism, RequestPool balance, and the
- * engine contract — the auto engine (event-driven idle skipping with
- * adaptive polled stints) is metrics-BIT-identical to the polled
- * reference engine across the golden prefetchers (and dspatch, which
- * additionally exercises the DRAM utilization-epoch catch-up),
- * single- and multi-core.
+ * Engine suite: RequestPool balance, the cycle cap, and the engine
+ * contract — the auto engine (the polled loop plus a clock jump over
+ * cycles on which every wake gate is closed) is metrics-BIT-identical
+ * to the polled reference engine across the golden prefetchers (and
+ * dspatch, which additionally exercises the DRAM utilization-epoch
+ * catch-up), single- and multi-core.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <tuple>
+#include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
-#include "sim/event.hh"
 #include "sim/request_pool.hh"
+#include "sim/system.hh"
 #include "workloads/suites.hh"
 
 namespace gaze
@@ -34,178 +31,6 @@ const bool kScalePinned = [] {
     setenv("GAZE_SIM_SCALE", "0.02", 1);
     return true;
 }();
-
-// ---- EventQueue properties ------------------------------------------
-
-/** Records its own dispatch into a shared log. */
-class LogEvent : public Event
-{
-  public:
-    using Log = std::vector<std::tuple<Cycle, int, const LogEvent *>>;
-
-    LogEvent(int priority, Log *log_, const EventQueue *q)
-        : Event(priority), log(log_), queue(q)
-    {
-    }
-
-    void
-    process() override
-    {
-        log->emplace_back(queue->currentCycle(), priority(), this);
-        ++runs;
-    }
-
-    int runs = 0;
-
-  private:
-    Log *log;
-    const EventQueue *queue;
-};
-
-void
-drain(EventQueue &q)
-{
-    while (true) {
-        Cycle c = q.nextEventCycle();
-        if (c == EventQueue::kNoEvent)
-            break;
-        q.dispatchCycle(c);
-    }
-}
-
-TEST(EventQueueOrder, RandomScheduleDispatchesSortedOnce)
-{
-    // Property: whatever the schedule order, dispatch order is
-    // (cycle, priority, schedule-seq) — including cycles far past the
-    // wheel horizon (rollover through the overflow heap).
-    EventQueue q(64);
-    LogEvent::Log log;
-    Rng rng(0x5eed);
-
-    std::vector<std::unique_ptr<LogEvent>> events;
-    std::vector<Cycle> whens;
-    for (int i = 0; i < 300; ++i) {
-        int prio = static_cast<int>(rng.below(4));
-        events.push_back(std::make_unique<LogEvent>(prio, &log, &q));
-        // Mix near cycles, horizon-straddling ones, and far ones
-        // (several wheel revolutions out).
-        Cycle when = rng.below(3) == 0 ? rng.below(60)
-                     : rng.below(2) == 0
-                         ? 50 + rng.below(100)
-                         : rng.below(64 * 40);
-        whens.push_back(when);
-    }
-    for (size_t i = 0; i < events.size(); ++i)
-        q.schedule(events[i].get(), whens[i]);
-
-    drain(q);
-
-    ASSERT_EQ(log.size(), events.size());
-    for (const auto &e : events)
-        EXPECT_EQ(e->runs, 1);
-    for (size_t i = 1; i < log.size(); ++i) {
-        Cycle pc = std::get<0>(log[i - 1]), cc = std::get<0>(log[i]);
-        int pp = std::get<1>(log[i - 1]), cp = std::get<1>(log[i]);
-        EXPECT_TRUE(pc < cc || (pc == cc && pp <= cp))
-            << "order violated at " << i;
-    }
-    // Dispatched cycles must match what was scheduled.
-    std::vector<Cycle> got;
-    for (const auto &entry : log)
-        got.push_back(std::get<0>(entry));
-    std::vector<Cycle> want = whens;
-    std::sort(want.begin(), want.end());
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want);
-}
-
-TEST(EventQueueOrder, SameCycleDispatchIsPriorityThenScheduleOrder)
-{
-    EventQueue q(16);
-    LogEvent::Log log;
-    LogEvent a(2, &log, &q), b(0, &log, &q), c(1, &log, &q);
-    LogEvent d(1, &log, &q); // same priority as c, scheduled later
-    // Insertion order deliberately scrambled.
-    q.schedule(&a, 7);
-    q.schedule(&c, 7);
-    q.schedule(&d, 7);
-    q.schedule(&b, 7);
-    drain(q);
-    ASSERT_EQ(log.size(), 4u);
-    EXPECT_EQ(std::get<2>(log[0]), &b); // prio 0
-    EXPECT_EQ(std::get<2>(log[1]), &c); // prio 1, scheduled first
-    EXPECT_EQ(std::get<2>(log[2]), &d); // prio 1, scheduled second
-    EXPECT_EQ(std::get<2>(log[3]), &a); // prio 2
-}
-
-TEST(EventQueueOrder, WheelRolloverKeepsExactCycles)
-{
-    // Events spaced exactly one wheel span apart land in the same
-    // bucket index across revolutions; each must still fire at its
-    // own cycle.
-    EventQueue q(16);
-    LogEvent::Log log;
-    std::vector<std::unique_ptr<LogEvent>> events;
-    for (int k = 0; k < 8; ++k) {
-        events.push_back(std::make_unique<LogEvent>(0, &log, &q));
-        q.schedule(events.back().get(), 5 + Cycle(k) * 16);
-    }
-    drain(q);
-    ASSERT_EQ(log.size(), 8u);
-    for (int k = 0; k < 8; ++k)
-        EXPECT_EQ(std::get<0>(log[size_t(k)]), 5u + Cycle(k) * 16);
-}
-
-TEST(EventQueue, ScheduleEarlierSupersedesAndIsIdempotent)
-{
-    EventQueue q(32);
-    LogEvent::Log log;
-    LogEvent e(0, &log, &q);
-    q.schedule(&e, 100);
-    q.scheduleEarlier(&e, 40); // pulls earlier
-    q.scheduleEarlier(&e, 60); // no-op: already earlier
-    q.scheduleEarlier(&e, 40); // no-op: same cycle
-    EXPECT_EQ(q.size(), 1u);
-    drain(q);
-    ASSERT_EQ(log.size(), 1u); // superseded entry must not re-fire
-    EXPECT_EQ(std::get<0>(log[0]), 40u);
-    EXPECT_EQ(e.runs, 1);
-}
-
-/** Reschedules itself a fixed number of times from process(). */
-class ChainEvent : public Event
-{
-  public:
-    ChainEvent(EventQueue *q_, int hops_) : Event(0), q(q_), hops(hops_)
-    {
-    }
-
-    void
-    process() override
-    {
-        fired.push_back(q->currentCycle());
-        if (--hops > 0)
-            q->schedule(this, q->currentCycle() + 7);
-    }
-
-    std::vector<Cycle> fired;
-
-  private:
-    EventQueue *q;
-    int hops;
-};
-
-TEST(EventQueue, SelfReschedulingEventWalksForward)
-{
-    EventQueue q(8); // tiny wheel: every hop crosses the horizon
-    ChainEvent e(&q, 5);
-    q.schedule(&e, 3);
-    drain(q);
-    ASSERT_EQ(e.fired.size(), 5u);
-    for (size_t i = 0; i < e.fired.size(); ++i)
-        EXPECT_EQ(e.fired[i], 3u + 7 * i);
-    EXPECT_EQ(q.stats().dispatched, 5u);
-}
 
 // ---- RequestPool ----------------------------------------------------
 
@@ -309,8 +134,11 @@ expectBitIdentical(const RunResult &au, const RunResult &po,
     EXPECT_EQ(au.dram.readLatencySum, po.dram.readLatencySum) << ctx;
     // Exact double equality is intended: same arithmetic, same order.
     EXPECT_EQ(au.ipc(), po.ipc()) << ctx;
-    // Both engines simulate the same number of cycles overall.
+    // Both engines simulate the same number of cycles overall, and
+    // tick with an open wake gate the same number of times.
     EXPECT_EQ(au.engine.cyclesTotal, po.engine.cyclesTotal) << ctx;
+    EXPECT_EQ(au.engine.eventsDispatched, po.engine.eventsDispatched)
+        << ctx;
 }
 
 TEST(EngineEquivalence, GoldenPrefetchersBitIdentical)
@@ -374,8 +202,8 @@ TEST(EngineStatsTest, PointerChaseSkipsIdleCycles)
 {
     EXPECT_TRUE(kScalePinned);
     // canneal is the low-MLP case: one dependent load in flight at a
-    // time, so most cycles are DRAM-latency waits the auto engine's
-    // event stints must skip.
+    // time, so most cycles are DRAM-latency waits the auto engine
+    // must jump.
     WorkloadDef w = findWorkload("canneal");
     Runner au(smallConfig(EngineKind::Auto));
     RunResult r = au.run(w, PfSpec{});
@@ -404,6 +232,49 @@ TEST(EngineStatsTest, SummaryCarriesEngineSlice)
     EXPECT_EQ(s.cyclesExecuted, r.engine.cyclesExecuted);
     EXPECT_EQ(s.cyclesSkipped, r.engine.cyclesSkipped);
     EXPECT_EQ(s.minstrPerSec, r.minstrPerSec());
+}
+
+// ---- the cycle cap --------------------------------------------------
+
+TEST(EngineCycleCap, TracelessCoreStopsAtTheCapOnBothEngines)
+{
+    // A core without a trace never retires, so run() and simulate()
+    // can only end at their cycle cap: polled ticks its way there with
+    // every gate closed, auto jumps there once every wake hint reads
+    // kNeverWake. Both must stop at the same cycle and warn.
+    const uint64_t instr = 10;
+    const uint64_t cap = instr * SystemConfig{}.maxCyclesPerInstr + 1000000;
+    std::vector<EngineStats> engines;
+    for (EngineKind kind : {EngineKind::Polled, EngineKind::Auto}) {
+        const std::string name = engineKindName(kind);
+        SystemConfig cfg;
+        cfg.engine = kind;
+        System sys(cfg);
+
+        testing::internal::CaptureStderr();
+        sys.run(instr);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("run() hit the cycle cap"), std::string::npos)
+            << name << ": " << err;
+        EXPECT_EQ(sys.cycle(), cap) << name;
+
+        testing::internal::CaptureStderr();
+        std::vector<CoreResult> res = sys.simulate(instr);
+        err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("simulate() hit the cycle cap"),
+                  std::string::npos)
+            << name << ": " << err;
+        ASSERT_EQ(res.size(), 1u);
+        EXPECT_EQ(res[0].instructions, 0u) << name;
+        EXPECT_EQ(res[0].cycles, cap) << name;
+        EXPECT_EQ(sys.cycle(), 2 * cap) << name;
+        engines.push_back(sys.engineStats());
+    }
+    EXPECT_EQ(engines[1].eventsDispatched, engines[0].eventsDispatched);
+    // Auto executes only cycle 0, where every gate starts open, and
+    // jumps the rest; polled executes every cycle.
+    EXPECT_EQ(engines[0].cyclesExecuted, 2 * cap);
+    EXPECT_EQ(engines[1].cyclesExecuted, 1u);
 }
 
 // ---- request pool balance at system teardown ------------------------

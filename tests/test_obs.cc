@@ -189,8 +189,8 @@ TEST(ObsTimeline, RepeatRunsProduceByteIdenticalCsv)
 
 /**
  * The timeline columns minus the engine-private and lazily-accounted
- * ones. Engine counters ("engine.*", "eventq.*") legitimately differ
- * across engines — the polled engine dispatches no events. The core
+ * ones. Engine counters ("engine.*") legitimately differ across
+ * engines — the polled engine executes every cycle. The core
  * stall-cycle counters are exempt too: Core::catchUpStallCounters
  * back-fills them when a sleeping core wakes, so mid-skip boundaries
  * read lower on the auto engine than on the (eager) polled one; end
@@ -205,8 +205,8 @@ lazyColumn(const std::string &name)
         size_t n = std::char_traits<char>::length(s);
         return name.size() >= n && name.compare(name.size() - n, n, s) == 0;
     };
-    return name.rfind("engine.", 0) == 0 || name.rfind("eventq.", 0) == 0
-           || suffix(".robFullCycles") || suffix(".frontendStallCycles");
+    return name.rfind("engine.", 0) == 0 || suffix(".robFullCycles")
+           || suffix(".frontendStallCycles");
 }
 
 std::pair<std::vector<std::string>, std::vector<std::vector<uint64_t>>>
