@@ -20,7 +20,10 @@
 #   5. `gaze_serve status` answers one status JSON line, and
 #      `gaze_campaign status --json` against the daemon's cache agrees
 #      nothing is missing,
-#   6. SIGTERM drains cleanly: the daemon exits 0 and reports what it
+#   6. a bad spec is rejected (client exit 3) with the reason
+#      `gaze_campaign status` exits 1 with on the same file, word for
+#      word: both run the one spec parser,
+#   7. SIGTERM drains cleanly: the daemon exits 0 and reports what it
 #      served; its obs trace (queue-wait/execute spans) validates.
 set -eu
 
@@ -137,6 +140,28 @@ grep -q '"rejected":1' status.json
 cat campaign_status.json
 grep -q '"missing":0' campaign_status.json
 echo "OK: daemon and campaign status agree the cache is complete"
+
+echo "== bad spec: the daemon rejects with the offline diagnostic"
+sed 's/"gaze"/"bingo:region=3000"/' spec.json > spec_bad.json
+grep -q 'bingo:region=3000' spec_bad.json
+rc=0
+"$SERVE" submit --socket=./serve.sock --spec=spec_bad.json \
+    --out=bad_report.json 2> bad_submit.txt || rc=$?
+cat bad_submit.txt
+test "$rc" -eq 3 || { echo "bad spec submit exited $rc, want 3"; exit 1; }
+test ! -e bad_report.json
+rc=0
+"$CAMPAIGN" status --spec=spec_bad.json --cache-dir=cache \
+    > /dev/null 2> bad_offline.txt || rc=$?
+cat bad_offline.txt
+test "$rc" -eq 1 || { echo "offline status exited $rc, want 1"; exit 1; }
+# "fatal: <message> (<file>:<line>)" vs "gaze_serve: rejected: <reason>"
+offline=$(sed -n 's/^fatal: \(.*\) (.*:[0-9][0-9]*)$/\1/p' bad_offline.txt)
+reason=$(sed -n 's/^gaze_serve: rejected: //p' bad_submit.txt)
+test -n "$offline" && test "$offline" = "$reason" || {
+    echo "daemon reason differs from the offline diagnostic"; exit 1; }
+kill -0 "$DPID"
+echo "OK: rejected with the offline diagnostic, daemon alive"
 
 echo "== SIGTERM drain"
 kill -TERM "$DPID"

@@ -31,20 +31,6 @@ JsonValue::asString() const
     return text;
 }
 
-uint64_t
-JsonValue::asCount(const char *what, uint64_t max) const
-{
-    if (ty != Type::Number)
-        GAZE_FATAL(what, " must be a number");
-    double v = number;
-    if (!(v >= 0) || v != std::floor(v) || v > 9.007199254740992e15)
-        GAZE_FATAL(what, " must be a non-negative integer, got ", v);
-    uint64_t n = static_cast<uint64_t>(v);
-    if (n > max)
-        GAZE_FATAL(what, " out of range: ", n, " (max ", max, ")");
-    return n;
-}
-
 const std::vector<JsonValue> &
 JsonValue::items() const
 {

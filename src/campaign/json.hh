@@ -14,7 +14,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,13 +47,6 @@ class JsonValue
     bool asBool() const;
     double asNumber() const;
     const std::string &asString() const;
-
-    /**
-     * asNumber() checked to be a non-negative integer <= @p max;
-     * fatal with @p what in the message otherwise (spec fields like
-     * "warmup" must never silently truncate).
-     */
-    uint64_t asCount(const char *what, uint64_t max = UINT64_MAX) const;
 
     /** Array elements (fatal if not an array). */
     const std::vector<JsonValue> &items() const;

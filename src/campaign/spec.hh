@@ -10,7 +10,7 @@
  * (harness/cell_key), which is the address of its cached result.
  *
  * Spec format (all axes validated against the driver registries,
- * unknown keys fatal; the prefetcher axis is canonicalized by the
+ * unknown keys rejected; the prefetcher axis is canonicalized by the
  * prefetcher registry on load, so equivalent spellings collapse to
  * one axis entry and the cells/report labels are spelling-invariant):
  *
@@ -89,41 +89,32 @@ struct Campaign
 };
 
 /**
- * Validate a parsed spec document against the registries. Fatal on
- * missing/unknown keys, unknown prefetchers/suites/workloads/levels,
- * or malformed values — a campaign must never silently drop an axis.
+ * The one campaign spec parser. Reads @p root and validates it
+ * against the registries: missing or unknown keys, malformed values,
+ * unknown prefetchers, levels, suites or workloads, and core counts
+ * outside 1..kMaxCores are rejected (a campaign must never silently
+ * drop an axis), and with "trace_dir" every workload's .gzt header is
+ * probed (expansion only rebinds). Canonicalizes the prefetcher axis.
+ * Returns false with the first problem in @p error; gaze_serve rejects
+ * a submission with that message, so a client reads the words the
+ * offline tools exit with.
  */
+bool parseCampaignSpec(const JsonValue &root, CampaignSpec *out,
+                       std::string *error);
+
+/** parseCampaignSpec, fatal (exit 1) with its diagnostic. */
 CampaignSpec parseCampaignSpec(const JsonValue &root);
 
 /**
- * The axis validation every front end that builds a CampaignSpec
- * runs (parseCampaignSpec, gaze_sim's flag parser). Fatal on a missing
- * name or prefetcher axis, an empty level or core axis, a core count
- * outside 1..kMaxCores, or a prefetcher, level, suite or workload the
- * registries do not know; canonicalizes the prefetcher axis in place.
- * @p who prefixes the diagnostics ("campaign spec", "gaze_sim").
+ * The axis checks of parseCampaignSpec, for a spec gaze_sim built
+ * from its flags; fatal (exit 1) with the same diagnostics.
+ * Canonicalizes the prefetcher axis in place. @p who prefixes the
+ * diagnostics about the spec as a whole ("campaign spec", "gaze_sim").
  */
 void validateCampaignSpec(CampaignSpec &spec, const char *who);
 
 /**
- * Non-fatal preflight of @p root: empty string when parseCampaignSpec
- * would accept it, else the first problem found, phrased for a client.
- * Long-running services (gaze_serve) must call this before handing a
- * client-supplied document to the fatal parser — it is kept at least
- * as strict as parseCampaignSpec + expansion for every axis, so a
- * document that passes here cannot kill the daemon.
- */
-std::string checkCampaignSpecDoc(const JsonValue &root);
-
-/**
- * Non-fatal validation of one prefetcher factory spec string against
- * the registry (scheme known, options declared, values typed/ranged).
- * Empty string when canonicalPrefetcherSpec would accept it.
- */
-std::string checkPrefetcherSpecText(const std::string &text);
-
-/**
- * Expand the axes into cells and deduplicated baselines, resolving
+ * Expand the axes into cells and deduplicated baselines, rebinding
  * trace_dir replay and computing every cache key. Deterministic: the
  * same spec (and scale) always yields the same cells in the same
  * order, which sharded execution relies on.

@@ -48,6 +48,21 @@ formatAll(const Args &...args)
 }
 
 } // namespace detail
+
+/**
+ * Store a non-fatal parser's diagnostic and return false:
+ * `return failWith(error, "unknown suite '", s, "'");`. The words are
+ * formatted exactly as GAZE_FATAL formats them, so a fatal wrapper that
+ * prints @p error prints what the parser said.
+ */
+template <typename... Args>
+bool
+failWith(std::string *error, const Args &...args)
+{
+    *error = detail::formatAll(args...);
+    return false;
+}
+
 } // namespace gaze
 
 #define GAZE_PANIC(...) \

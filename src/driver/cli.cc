@@ -1,8 +1,6 @@
 #include "driver/cli.hh"
 
-#include <cerrno>
-#include <cstdlib>
-
+#include "common/decimal.hh"
 #include "common/log.hh"
 
 namespace gaze
@@ -204,30 +202,6 @@ requireNonEmptyLists(const std::vector<std::string> &workload_names,
         GAZE_FATAL(cli, ": --suites needs at least one suite");
 }
 
-std::vector<WorkloadDef>
-expandWorkloads(const std::vector<std::string> &workload_names,
-                bool workloads_given,
-                const std::vector<std::string> &suite_names,
-                bool suites_given, const char *cli)
-{
-    requireNonEmptyLists(workload_names, workloads_given, suite_names,
-                         suites_given, cli);
-
-    std::vector<WorkloadDef> out;
-    if (!workload_names.empty()) {
-        for (const auto &n : workload_names)
-            out.push_back(findWorkload(n));
-        return out;
-    }
-    std::vector<std::string> suites = suite_names;
-    if (suites.empty())
-        suites = mainSuites();
-    for (const auto &s : suites)
-        for (const auto &w : suiteWorkloads(s))
-            out.push_back(w);
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -261,14 +235,8 @@ splitList(const std::string &s)
 uint64_t
 parseCount(const std::string &flag, const std::string &v, uint64_t max)
 {
-    // strtoull silently wraps a leading minus, so digits only.
-    bool digits_only = !v.empty();
-    for (char c : v)
-        digits_only = digits_only && c >= '0' && c <= '9';
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (!digits_only || (end && *end != '\0') || errno == ERANGE)
+    uint64_t n = 0;
+    if (!parseDecimal(v, &n))
         GAZE_FATAL("bad numeric value for ", flag, ": '", v, "'");
     if (n > max)
         GAZE_FATAL(flag, " out of range: ", v, " (max ", max, ")");
@@ -403,9 +371,12 @@ parseGazeTraceArgs(const std::vector<std::string> &args)
                            "' (see gaze_trace --help)");
             }
         }
-        opt.workloads = expandWorkloads(workloadNames, workloadsGiven,
-                                        suites, suitesGiven,
-                                        "gaze_trace");
+        requireNonEmptyLists(workloadNames, workloadsGiven, suites,
+                             suitesGiven, "gaze_trace");
+        std::string error;
+        if (!resolveWorkloads(workloadNames, suites, &opt.workloads,
+                              &error))
+            GAZE_FATAL(error);
         return opt;
     }
 

@@ -56,8 +56,8 @@ struct GazeSimOptions
  * Parse gaze_sim flags (argv without the program name) into a
  * campaign spec, checked by the same axis validation as a spec file
  * (validateCampaignSpec: registry names, core-count bound, prefetcher
- * canonicalization). Expansion, including --trace-dir rebinding, is
- * left to expandCampaign. Fatal on any malformed or unknown argument.
+ * canonicalization, the --trace-dir probe). Expansion is left to
+ * expandCampaign. Fatal on any malformed or unknown argument.
  */
 GazeSimOptions parseGazeSimArgs(const std::vector<std::string> &args);
 
@@ -85,7 +85,8 @@ struct GazeTraceOptions
 /**
  * Parse gaze_trace arguments: "record [--suites=|--workloads=]
  * [--out-dir=]", "info FILE...", "validate FILE...". Fatal on unknown
- * commands/flags, unresolvable workload names, or missing operands.
+ * commands/flags, unresolvable workload or suite names, or missing
+ * operands.
  */
 GazeTraceOptions parseGazeTraceArgs(const std::vector<std::string> &args);
 

@@ -10,27 +10,10 @@
 
 namespace gaze
 {
-namespace
-{
-
-const char *
-resultsDir()
-{
-    return std::getenv("GAZE_RESULTS_DIR");
-}
-
-} // namespace
 
 CsvExport::CsvExport(std::string name_)
     : name(std::move(name_))
 {
-}
-
-bool
-CsvExport::enabled()
-{
-    const char *dir = resultsDir();
-    return dir != nullptr && dir[0] != '\0';
 }
 
 void
@@ -79,16 +62,6 @@ CsvExport::toCsv() const
     for (const auto &r : rows)
         emit(r);
     return os.str();
-}
-
-std::string
-CsvExport::write() const
-{
-    if (!enabled())
-        return {};
-    std::string path = std::string(resultsDir()) + "/" + name + ".csv";
-    writeTextFile(path, toCsv());
-    return path;
 }
 
 void
@@ -285,8 +258,9 @@ JsonExport::fileName() const
 std::string
 JsonExport::defaultPath() const
 {
-    if (CsvExport::enabled())
-        return std::string(resultsDir()) + "/" + fileName();
+    const char *dir = std::getenv("GAZE_RESULTS_DIR");
+    if (dir && dir[0] != '\0')
+        return std::string(dir) + "/" + fileName();
     return fileName();
 }
 

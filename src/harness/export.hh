@@ -1,11 +1,9 @@
 /**
  * @file
- * Machine-readable result export, mirroring the paper artifact's
- * json-directory workflow: when GAZE_RESULTS_DIR is set, every bench
- * writes its tables as CSV files there (one per experiment), so the
- * figures can be re-plotted without scraping stdout. The suite-runner
- * CLI additionally writes whole-matrix results as BENCH_<name>.json
- * documents through JsonWriter/JsonExport.
+ * Machine-readable result export: whole-matrix and campaign results as
+ * BENCH_<name>.json documents (JsonWriter/JsonExport), written to
+ * GAZE_RESULTS_DIR when it is set, and the per-suite CSV text of a
+ * campaign report (CsvExport).
  */
 
 #pragma once
@@ -17,7 +15,7 @@
 namespace gaze
 {
 
-/** A named grid of cells destined for "<dir>/<name>.csv". */
+/** A named grid of cells rendered as CSV text. */
 class CsvExport
 {
   public:
@@ -30,18 +28,8 @@ class CsvExport
     /** Append a data row (quoted/escaped as needed). */
     void row(std::vector<std::string> cells);
 
-    /**
-     * Write to $GAZE_RESULTS_DIR/<name>.csv. No-op (returns empty)
-     * when the variable is unset; returns the written path otherwise.
-     * Fatal if the directory is not writable.
-     */
-    std::string write() const;
-
-    /** Render as CSV text (exposed for tests). */
+    /** Render as CSV text. */
     std::string toCsv() const;
-
-    /** True when GAZE_RESULTS_DIR is configured. */
-    static bool enabled();
 
   private:
     static std::string escape(const std::string &cell);
@@ -117,8 +105,8 @@ void writeTextFile(const std::string &path, const std::string &text);
 
 /**
  * A named JSON result document destined for "BENCH_<name>.json",
- * written next to the CSVs in $GAZE_RESULTS_DIR (or to an explicit
- * path via writeTo, which the gaze_sim --out flag uses).
+ * written to $GAZE_RESULTS_DIR (or to an explicit path via writeTo,
+ * which the gaze_sim --out flag uses).
  */
 class JsonExport
 {

@@ -24,14 +24,13 @@ pfSpecAt(const std::string &spec, const std::string &level)
     // the campaign cache address — only ever sees the one canonical
     // spelling, so "gaze:n=1:region=2048" and "gaze:region=2048:n=1"
     // are the same cell.
+    GAZE_ASSERT(level == "l1" || level == "l2", "unvalidated attach level '",
+                level, "'");
     PfSpec pf;
     if (level == "l1")
         pf.l1 = canonicalPrefetcherSpec(spec);
-    else if (level == "l2")
-        pf.l2 = canonicalPrefetcherSpec(spec);
     else
-        GAZE_FATAL("unknown attach level '", level,
-                   "' (want l1 or l2)");
+        pf.l2 = canonicalPrefetcherSpec(spec);
     return pf;
 }
 

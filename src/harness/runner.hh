@@ -77,9 +77,8 @@ struct PfSpec
 };
 
 /**
- * Build a PfSpec attaching factory spec @p spec at @p level ("l1" or
- * "l2"); fatal on anything else. Shared by spec validation and
- * campaign expansion so the level axis is validated identically.
+ * Build a PfSpec attaching factory spec @p spec at @p level, which
+ * campaign spec validation has checked is "l1" or "l2".
  */
 PfSpec pfSpecAt(const std::string &spec, const std::string &level);
 

@@ -1,5 +1,6 @@
 #include "prefetchers/factory.hh"
 
+#include "common/log.hh"
 #include "prefetchers/registry.hh"
 
 namespace gaze
@@ -8,7 +9,11 @@ namespace gaze
 std::unique_ptr<Prefetcher>
 makePrefetcher(const std::string &spec_text)
 {
-    return resolvePrefetcherSpec(spec_text).build();
+    CanonicalSpec canon;
+    std::string error;
+    if (!resolvePrefetcherSpec(spec_text, &canon, &error))
+        GAZE_FATAL(error);
+    return canon.build();
 }
 
 std::vector<std::string>

@@ -34,8 +34,7 @@ namespace gaze
 /**
  * Build a prefetcher from @p spec; returns nullptr for "none"/"".
  * Unknown names, unknown options or malformed values are fatal
- * (configuration error). Equivalent to
- * resolvePrefetcherSpec(spec).build().
+ * (configuration error), with resolvePrefetcherSpec's diagnostic.
  */
 std::unique_ptr<Prefetcher> makePrefetcher(const std::string &spec);
 

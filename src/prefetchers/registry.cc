@@ -1,15 +1,16 @@
 #include "prefetchers/registry.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <sstream>
 
+#include "common/decimal.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "harness/export.hh"
+#include "prefetchers/factory.hh"
 
 namespace gaze
 {
@@ -123,29 +124,26 @@ splitSpec(const std::string &text, std::string *name,
  * schema demands it (0 is exempt: it is only reachable when the
  * schema's range admits it as an "auto" sentinel).
  */
-uint64_t
+bool
 parseUintOption(const PrefetcherDescriptor &desc, const OptionSchema &os,
-                const std::string &value, const std::string &spec_text)
+                const std::string &value, const std::string &spec_text,
+                uint64_t *out, std::string *error)
 {
-    bool digits_only = !value.empty();
-    for (char c : value)
-        digits_only = digits_only && c >= '0' && c <= '9';
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    if (!digits_only || (end && *end != '\0') || errno == ERANGE)
-        GAZE_FATAL("prefetcher '", desc.name, "': option '", os.name,
-                   "' wants an unsigned integer, got '", value,
-                   "' in spec '", spec_text, "'");
+    uint64_t n = 0;
+    if (!parseDecimal(value, &n))
+        return failWith(error, "prefetcher '", desc.name, "': option '",
+                        os.name, "' wants an unsigned integer, got '",
+                        value, "' in spec '", spec_text, "'");
     if (n < os.min || n > os.max)
-        GAZE_FATAL("prefetcher '", desc.name, "': option '", os.name,
-                   "' out of range in spec '", spec_text, "': ", n,
-                   " (want ", os.min, "..", os.max, ")");
+        return failWith(error, "prefetcher '", desc.name, "': option '",
+                        os.name, "' out of range in spec '", spec_text,
+                        "': ", n, " (want ", os.min, "..", os.max, ")");
     if (os.pow2 && n != 0 && !isPowerOfTwo(n))
-        GAZE_FATAL("prefetcher '", desc.name, "': option '", os.name,
-                   "' must be a power of two in spec '", spec_text,
-                   "', got ", n);
-    return n;
+        return failWith(error, "prefetcher '", desc.name, "': option '",
+                        os.name, "' must be a power of two in spec '",
+                        spec_text, "', got ", n);
+    *out = n;
+    return true;
 }
 
 } // namespace
@@ -396,13 +394,16 @@ CanonicalSpec::build() const
     return desc->build(SpecOptions(*desc, options));
 }
 
-CanonicalSpec
-resolvePrefetcherSpec(const std::string &spec_text)
+bool
+resolvePrefetcherSpec(const std::string &spec_text, CanonicalSpec *out,
+                      std::string *error)
 {
     CanonicalSpec canon;
     canon.text = "none";
-    if (spec_text.empty() || spec_text == "none")
-        return canon;
+    if (spec_text.empty() || spec_text == "none") {
+        *out = std::move(canon);
+        return true;
+    }
 
     std::string name;
     std::vector<SpecToken> tokens;
@@ -411,10 +412,10 @@ resolvePrefetcherSpec(const std::string &spec_text)
     const PrefetcherDescriptor *desc =
         PrefetcherRegistry::instance().find(name);
     if (!desc)
-        GAZE_FATAL("unknown prefetcher '", name, "' in spec '",
-                   spec_text, "' (known: ",
-                   joinNames(registeredNames()),
-                   "; see gaze_sim --list-prefetchers)");
+        return failWith(error, "unknown prefetcher '", name,
+                        "' in spec '", spec_text, "' (known: ",
+                        joinNames(registeredNames()),
+                        "; see gaze_sim --list-prefetchers)");
     canon.desc = desc;
 
     // Seen-keys are tracked separately from canon.options: a
@@ -425,48 +426,51 @@ resolvePrefetcherSpec(const std::string &spec_text)
     for (const auto &tok : tokens) {
         const OptionSchema *os = desc->findOption(tok.key);
         if (!os)
-            GAZE_FATAL("prefetcher '", desc->name,
-                       "': unknown option '", tok.key, "' in spec '",
-                       spec_text, "' (options: ",
-                       joinNames(declaredOptionNames(*desc)), ")");
+            return failWith(error, "prefetcher '", desc->name,
+                            "': unknown option '", tok.key,
+                            "' in spec '", spec_text, "' (options: ",
+                            joinNames(declaredOptionNames(*desc)), ")");
         if (!seen.insert(os->name).second)
-            GAZE_FATAL("prefetcher '", desc->name, "': option '",
-                       os->name, "' given twice in spec '", spec_text,
-                       "'");
+            return failWith(error, "prefetcher '", desc->name,
+                            "': option '", os->name,
+                            "' given twice in spec '", spec_text, "'");
         switch (os->type) {
           case OptionType::Flag: {
             if (tok.hasValue)
-                GAZE_FATAL("prefetcher '", desc->name, "': option '",
-                           os->name,
-                           "' is a flag and takes no value in spec '",
-                           spec_text, "'");
+                return failWith(error, "prefetcher '", desc->name,
+                                "': option '", os->name,
+                                "' is a flag and takes no value in spec '",
+                                spec_text, "'");
             canon.options[os->name] = "1";
             break;
           }
           case OptionType::Uint: {
             if (!tok.hasValue)
-                GAZE_FATAL("prefetcher '", desc->name, "': option '",
-                           os->name, "' needs =N in spec '", spec_text,
-                           "'");
-            uint64_t n =
-                parseUintOption(*desc, *os, tok.value, spec_text);
+                return failWith(error, "prefetcher '", desc->name,
+                                "': option '", os->name,
+                                "' needs =N in spec '", spec_text, "'");
+            uint64_t n = 0;
+            if (!parseUintOption(*desc, *os, tok.value, spec_text, &n,
+                                 error))
+                return false;
             if (n != os->uintDefault)
                 canon.options[os->name] = std::to_string(n);
             break;
           }
           case OptionType::Enum: {
             if (!tok.hasValue)
-                GAZE_FATAL("prefetcher '", desc->name, "': option '",
-                           os->name, "' needs =VALUE in spec '",
-                           spec_text, "'");
+                return failWith(error, "prefetcher '", desc->name,
+                                "': option '", os->name,
+                                "' needs =VALUE in spec '", spec_text,
+                                "'");
             if (std::find(os->enumValues.begin(), os->enumValues.end(),
                           tok.value)
                 == os->enumValues.end())
-                GAZE_FATAL("prefetcher '", desc->name,
-                           "': unknown value '", tok.value,
-                           "' for option '", os->name, "' in spec '",
-                           spec_text, "' (one of: ",
-                           joinNames(os->enumValues), ")");
+                return failWith(error, "prefetcher '", desc->name,
+                                "': unknown value '", tok.value,
+                                "' for option '", os->name,
+                                "' in spec '", spec_text, "' (one of: ",
+                                joinNames(os->enumValues), ")");
             if (tok.value != os->enumDefault)
                 canon.options[os->name] = tok.value;
             break;
@@ -485,32 +489,18 @@ resolvePrefetcherSpec(const std::string &spec_text)
             text << '=' << kv.second;
     }
     canon.text = text.str();
-    return canon;
+    *out = std::move(canon);
+    return true;
 }
 
 std::string
 canonicalPrefetcherSpec(const std::string &spec_text)
 {
-    return resolvePrefetcherSpec(spec_text).text;
-}
-
-std::vector<std::string>
-canonicalizeSpecList(const std::vector<std::string> &specs,
-                     const char *context)
-{
-    std::vector<std::string> canonical;
-    for (const auto &spec : specs) {
-        std::string canon = canonicalPrefetcherSpec(spec);
-        if (std::find(canonical.begin(), canonical.end(), canon)
-            != canonical.end()) {
-            GAZE_WARN(context, ": prefetcher '", spec,
-                      "' duplicates canonical spec '", canon,
-                      "'; keeping one");
-            continue;
-        }
-        canonical.push_back(std::move(canon));
-    }
-    return canonical;
+    CanonicalSpec canon;
+    std::string error;
+    if (!resolvePrefetcherSpec(spec_text, &canon, &error))
+        GAZE_FATAL(error);
+    return canon.text;
 }
 
 // ------------------------------------------------------ introspection
@@ -524,9 +514,8 @@ renderPrefetcherList(bool json)
     // canonical name resolves, the defaults validate, and the
     // instance reports its modeled storage.
     auto storageKib = [](const PrefetcherDescriptor *d) {
-        return double(resolvePrefetcherSpec(d->name).build()
-                          ->storageBits())
-               / 8.0 / 1024.0;
+        return double(makePrefetcher(d->name)->storageBits()) / 8.0
+               / 1024.0;
     };
 
     if (json) {

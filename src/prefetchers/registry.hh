@@ -9,11 +9,13 @@
  * its own translation unit via GAZE_REGISTER_PREFETCHER. Everything
  * downstream is derived from the descriptors:
  *
- *  - construction (makePrefetcher in factory.hh) parses a
- *    "name[:option[=value]]*" spec, validates it against the schema
+ *  - resolution (resolvePrefetcherSpec) parses a
+ *    "name[:option[=value]]*" spec and validates it against the schema
  *    (unknown scheme, unknown option, malformed or out-of-range
- *    value, unknown enum value, duplicated option: all fatal, naming
- *    the offending spec text), and calls the scheme's build function;
+ *    value, unknown enum value, duplicated option: each a diagnostic
+ *    naming the offending spec text); construction (makePrefetcher in
+ *    factory.hh) exits with that diagnostic or calls the scheme's
+ *    build function;
  *  - canonicalization rewrites any valid spelling into the one
  *    canonical form — alias resolved to the primary name, options
  *    sorted by name, values normalized, schema defaults elided — so
@@ -216,27 +218,19 @@ struct CanonicalSpec
 };
 
 /**
- * Parse + validate + canonicalize @p spec_text against the registry.
- * Fatal (with the offending spec text in the message) on an unknown
- * scheme, unknown option, flag given a value, missing/malformed/
- * out-of-range number, unknown enum value, or duplicated option.
+ * Parse + validate + canonicalize @p spec_text against the registry:
+ * the one prefetcher-spec parser behind every front end. Returns false
+ * on an unknown scheme, unknown option, flag given a value,
+ * missing/malformed/out-of-range number, unknown enum value, or
+ * duplicated option, with the diagnostic (naming the offending spec
+ * text) in @p error. The message is only formatted on failure:
+ * makePrefetcher resolves once per core per cell.
  */
-CanonicalSpec resolvePrefetcherSpec(const std::string &spec_text);
+bool resolvePrefetcherSpec(const std::string &spec_text, CanonicalSpec *out,
+                           std::string *error);
 
-/** Shorthand: resolvePrefetcherSpec(@p spec_text).text. */
+/** The canonical text of @p spec_text; fatal with the diagnostic. */
 std::string canonicalPrefetcherSpec(const std::string &spec_text);
-
-/**
- * Canonicalize a whole prefetcher axis: every spec is resolved (fatal
- * on any invalid one), and spellings whose canonical form already
- * appeared are dropped with a warning naming @p context — the first
- * spelling wins the slot. Shared by the gaze_sim flag parser and the
- * campaign spec loader so both front ends collapse equivalent
- * spellings identically.
- */
-std::vector<std::string>
-canonicalizeSpecList(const std::vector<std::string> &specs,
-                     const char *context);
 
 /**
  * The full registry as a human-readable table (@p json false) or as

@@ -142,17 +142,17 @@ Service::handleSubmitLocked(uint64_t client, Session &session,
                          + "); wait for a report");
         return;
     }
-    std::string specErr = checkCampaignSpecDoc(req.spec);
-    if (!specErr.empty()) {
+    CampaignSpec spec;
+    std::string specErr;
+    if (!parseCampaignSpec(req.spec, &spec, &specErr)) {
         rejectLocked(client, specErr);
         return;
     }
 
-    // The preflight guarantees the fatal parser accepts the document.
     auto sub = std::make_shared<Submission>();
     sub->id = nextSubmission++;
     sub->client = client;
-    sub->campaign = expandCampaign(parseCampaignSpec(req.spec));
+    sub->campaign = expandCampaign(spec);
 
     std::vector<CampaignJob> jobs = expandCampaignJobs(sub->campaign);
     sub->total = jobs.size();

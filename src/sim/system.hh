@@ -54,9 +54,9 @@ EngineKind parseEngineKind(const std::string &name);
 
 /**
  * Largest core count a System supports. Every front end that accepts a
- * core count (gaze_sim --cores, the campaign spec's "cores" axis and
- * the daemon's preflight of it) rejects anything above this with a
- * diagnostic before a System is built.
+ * core count (gaze_sim --cores and the campaign spec's "cores" axis,
+ * offline or submitted to the daemon) rejects anything above this with
+ * a diagnostic before a System is built.
  */
 constexpr uint32_t kMaxCores = 64;
 

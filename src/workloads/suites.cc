@@ -278,27 +278,75 @@ allWorkloads()
     return registry;
 }
 
+namespace
+{
+
+/** The registry entry named @p name, or the diagnostic. */
+bool
+lookupWorkload(const std::string &name, const WorkloadDef **out,
+               std::string *error)
+{
+    for (const auto &w : allWorkloads()) {
+        if (w.name == name) {
+            *out = &w;
+            return true;
+        }
+    }
+    return failWith(error, "unknown workload '", name, "'");
+}
+
+} // namespace
+
+bool
+resolveWorkloads(const std::vector<std::string> &names,
+                 const std::vector<std::string> &suites,
+                 std::vector<WorkloadDef> *out, std::string *error)
+{
+    std::vector<WorkloadDef> axis;
+    for (const auto &n : names) {
+        const WorkloadDef *w = nullptr;
+        if (!lookupWorkload(n, &w, error))
+            return false;
+        axis.push_back(*w);
+    }
+    for (const auto &suite : names.empty() && suites.empty()
+                                 ? mainSuites()
+                                 : suites) {
+        bool known = false;
+        for (const auto &w : allWorkloads()) {
+            bool member = w.suite == suite
+                          || (suite == "qmm"
+                              && (w.suite == "qmm_server"
+                                  || w.suite == "qmm_client"));
+            known = known || member;
+            if (member && names.empty())
+                axis.push_back(w);
+        }
+        if (!known)
+            return failWith(error, "unknown suite '", suite, "'");
+    }
+    *out = std::move(axis);
+    return true;
+}
+
 std::vector<WorkloadDef>
 suiteWorkloads(const std::string &suite)
 {
     std::vector<WorkloadDef> out;
-    for (const auto &w : allWorkloads()) {
-        if (w.suite == suite
-            || (suite == "qmm" && (w.suite == "qmm_server"
-                                   || w.suite == "qmm_client")))
-            out.push_back(w);
-    }
-    GAZE_ASSERT(!out.empty(), "unknown suite '", suite, "'");
+    std::string error;
+    if (!resolveWorkloads({}, {suite}, &out, &error))
+        GAZE_FATAL(error);
     return out;
 }
 
 const WorkloadDef &
 findWorkload(const std::string &name)
 {
-    for (const auto &w : allWorkloads())
-        if (w.name == name)
-            return w;
-    GAZE_FATAL("unknown workload '", name, "'");
+    const WorkloadDef *w = nullptr;
+    std::string error;
+    if (!lookupWorkload(name, &w, &error))
+        GAZE_FATAL(error);
+    return *w;
 }
 
 std::vector<WorkloadDef>
@@ -308,15 +356,8 @@ withTraceDir(std::vector<WorkloadDef> workloads, const std::string &dir)
     std::string base = dir;
     if (base.back() != '/')
         base += '/';
-    for (auto &w : workloads) {
+    for (auto &w : workloads)
         w.traceFile = base + traceFileName(w.name);
-        std::string error;
-        if (!probeTraceFile(w.traceFile, nullptr, &error))
-            GAZE_FATAL("workload '", w.name, "' has no usable trace in '",
-                       dir, "': ", error,
-                       " (record one with: gaze_trace record --workloads=",
-                       w.name, " --out-dir=", dir, ")");
-    }
     return workloads;
 }
 

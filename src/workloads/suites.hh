@@ -64,16 +64,28 @@ uint64_t scaledRecords(uint64_t base = 600'000);
 /** Every registered workload. */
 const std::vector<WorkloadDef> &allWorkloads();
 
-/** Workloads of one suite ("qmm" matches both server and client). */
+/**
+ * Resolve a workload axis, the one rule every front end shares:
+ * explicit @p names override @p suites, no suites means mainSuites(),
+ * and "qmm" names both QMM suites. Every suite is checked even when
+ * @p names overrides it, so a typo'd axis is never silently dropped.
+ * Returns false with "unknown workload 'x'" or "unknown suite 'y'" in
+ * @p error.
+ */
+bool resolveWorkloads(const std::vector<std::string> &names,
+                      const std::vector<std::string> &suites,
+                      std::vector<WorkloadDef> *out, std::string *error);
+
+/** Workloads of one suite (fatal, exit 1, if unknown). */
 std::vector<WorkloadDef> suiteWorkloads(const std::string &suite);
 
-/** Find a workload by exact name (fatal if missing). */
+/** Find a workload by exact name (fatal, exit 1, if missing). */
 const WorkloadDef &findWorkload(const std::string &name);
 
 /**
- * Rebind each workload to "<dir>/<name>.gzt". Every file must exist
- * with a readable header (fatal otherwise, naming the offender) so a
- * bad --trace-dir fails before any simulation time is spent.
+ * Rebind each workload to replay "<dir>/<name>.gzt". The files are
+ * not opened here: spec validation probes them (parseCampaignSpec,
+ * validateCampaignSpec), and workloadIdentity() reads each header.
  */
 std::vector<WorkloadDef> withTraceDir(std::vector<WorkloadDef> workloads,
                                       const std::string &dir);

@@ -1,7 +1,9 @@
 /**
  * @file
  * Campaign subsystem tests: the JSON reader's happy/error paths, spec
- * parsing + deterministic expansion, canonical cell keys, the
+ * parsing (a table of bad specs, each diagnosed in the same words by
+ * the parser, its fatal wrapper and an in-process gaze_serve) +
+ * deterministic expansion, canonical cell keys, the
  * content-addressed cache (round trip, collision guard, malformed
  * files), RunSummary equivalence with full-RunResult metric math, and
  * an in-process end-to-end: a tiny campaign run twice must serve the
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -28,6 +31,9 @@
 #include "campaign/spec.hh"
 #include "harness/cell_key.hh"
 #include "harness/metrics.hh"
+#include "serve/protocol.hh"
+#include "serve/service.hh"
+#include "test_util.hh"
 #include "workloads/suites.hh"
 
 namespace gaze
@@ -96,17 +102,6 @@ TEST(CampaignJson, DeepNestingIsRejectedNotACrash)
     EXPECT_NE(error.find("nested too deeply"), std::string::npos);
 }
 
-TEST(CampaignJson, AsCountValidates)
-{
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(parseJson("[42, -1, 1.5, 300]", &doc, &error));
-    EXPECT_EQ(doc.items()[0].asCount("x"), 42u);
-    EXPECT_DEATH(doc.items()[1].asCount("x"), "non-negative");
-    EXPECT_DEATH(doc.items()[2].asCount("x"), "non-negative");
-    EXPECT_DEATH(doc.items()[3].asCount("x", 256), "out of range");
-}
-
 // ---- spec parsing + expansion ---------------------------------------
 
 JsonValue
@@ -130,140 +125,154 @@ TEST(CampaignSpecParse, MinimalSpecGetsDefaults)
     EXPECT_TRUE(spec.traceDir.empty());
 }
 
-TEST(CampaignSpecParse, FatalSpecErrors)
+// ---- bad specs: one parser, one message everywhere -----------------
+//
+// Every front end reaches the same parser: a row's diagnostic is what
+// the non-fatal parseCampaignSpec returns, what the fatal overload
+// (gaze_campaign; gaze_sim through validateCampaignSpec) exits 1
+// with, and what gaze_serve rejects a submission with, byte for byte.
+
+struct SpecRow
 {
-    EXPECT_DEATH(parseCampaignSpec(parseSpecText(
-                     R"({"prefetchers":["gaze"]})")),
-                 "missing required \"name\"");
-    EXPECT_DEATH(parseCampaignSpec(parseSpecText(R"({"name":"x"})")),
-                 "missing required \"prefetchers\"");
-    EXPECT_DEATH(parseCampaignSpec(parseSpecText(
-                     R"({"name":"x","prefetchers":["warp_drive"]})")),
-                 "");
-    EXPECT_DEATH(
-        parseCampaignSpec(parseSpecText(
-            R"({"name":"x","prefetchers":["gaze"],"typo_key":1})")),
-        "unknown key");
-    EXPECT_DEATH(
-        parseCampaignSpec(parseSpecText(
-            R"({"name":"x","prefetchers":["gaze"],"levels":["l3"]})")),
-        "unknown attach level");
-    // Suites are validated even when "workloads" overrides them — a
-    // typo'd axis must never be silently dropped.
-    EXPECT_DEATH(
-        parseCampaignSpec(parseSpecText(
-            R"({"name":"x","prefetchers":["gaze"],)"
-            R"("workloads":["mcf"],"suites":["spec6_typo"]})")),
-        "unknown suite");
+    const char *doc;
+    const char *needle; ///< in the diagnostic; nullptr = a valid spec
+};
+
+const SpecRow kSpecRows[] = {
+    // Accepted by every front end.
+    {R"({"name":"c1","prefetchers":["gaze"],"workloads":["mcf"]})",
+     nullptr},
+    {R"({"name":"c2","prefetchers":["none","bingo:region=4096"],)"
+     R"("suites":["spec06","gap"],"levels":["l1","l2"],)"
+     R"("cores":[1,4],"warmup":1000,"sim":5000})",
+     nullptr},
+    {R"({"name":"x","prefetchers":["gaze"],"cores":[64]})", nullptr},
+
+    // The document's own keys and values.
+    {R"(["not","an","object"])",
+     "campaign spec: document must be a JSON object"},
+    {R"({"prefetchers":["gaze"]})",
+     "campaign spec: missing required \"name\""},
+    {R"({"name":"x"})", "campaign spec: missing required \"prefetchers\""},
+    {R"({"name":"","prefetchers":["gaze"]})",
+     "campaign spec: \"name\" must be a non-empty string"},
+    {R"({"name":"x","prefetchers":["gaze"],"typo_key":1})",
+     "campaign spec: unknown key \"typo_key\" (typo?)"},
+    {R"({"name":"x","prefetchers":["gaze"],"levels":["l3"]})",
+     "unknown attach level 'l3' (want l1 or l2)"},
     // Core counts are bounded by what a System can build: a
     // diagnostic here, never a panic once the job runs.
-    EXPECT_DEATH(
-        parseCampaignSpec(parseSpecText(
-            R"({"name":"x","prefetchers":["gaze"],"cores":[0]})")),
-        "campaign spec: core count must be >= 1");
-    EXPECT_DEATH(
-        parseCampaignSpec(parseSpecText(
-            R"({"name":"x","prefetchers":["gaze"],"cores":[1,65]})")),
-        "campaign spec: core count 65 exceeds the 64-core limit");
-    EXPECT_DEATH(
-        parseCampaignSpec(parseSpecText(
-            R"({"name":"x","prefetchers":["gaze"],)"
-            R"("workloads":["nope"]})")),
-        "unknown workload");
+    {R"({"name":"x","prefetchers":["gaze"],"cores":[0]})",
+     "campaign spec: core count must be >= 1"},
+    {R"({"name":"x","prefetchers":["gaze"],"cores":[1,65]})",
+     "campaign spec: core count 65 exceeds the 64-core limit"},
+    {R"({"name":"x","prefetchers":["gaze"],"cores":[1.5]})",
+     "campaign spec: cores entry must be a non-negative integer, got 1.5"},
+    {R"({"name":"x","prefetchers":["gaze"],"cores":[4294967296]})",
+     "campaign spec: cores entry out of range: 4294967296 "
+     "(max 4294967295)"},
+    // Phase lengths must never silently truncate.
+    {R"({"name":"x","prefetchers":["gaze"],"warmup":-3})",
+     "campaign spec: warmup must be a non-negative integer, got -3"},
+    {R"({"name":"x","prefetchers":["gaze"],"sim":"long"})",
+     "campaign spec: sim must be a number"},
+
+    // The registries' diagnostics, passed on whole: the spec text,
+    // the known schemes, options or values, the offending number.
+    {R"({"name":"x","prefetchers":["warp_drive"]})",
+     "unknown prefetcher 'warp_drive' in spec 'warp_drive' (known: "},
+    {R"({"name":"x","prefetchers":["gaze:typo=1"]})",
+     "prefetcher 'gaze': unknown option 'typo' in spec 'gaze:typo=1' "
+     "(options: region, n,"},
+    {R"({"name":"x","prefetchers":["bingo:region=3000"]})",
+     "prefetcher 'bingo': option 'region' must be a power of two in "
+     "spec 'bingo:region=3000', got 3000"},
+    {R"({"name":"x","prefetchers":["sms:scheme=psychic"]})",
+     "prefetcher 'sms': unknown value 'psychic' for option 'scheme' in "
+     "spec 'sms:scheme=psychic' (one of: offset, pc, pc+offset, "
+     "pc+addr)"},
+    {R"({"name":"x","prefetchers":["gaze"],"suites":["spec6_typo"]})",
+     "unknown suite 'spec6_typo'"},
+    // Suites are checked even when "workloads" overrides them — a
+    // typo'd axis must never be silently dropped.
+    {R"({"name":"x","prefetchers":["gaze"],"workloads":["mcf"],)"
+     R"("suites":["spec6_typo"]})",
+     "unknown suite 'spec6_typo'"},
+    {R"({"name":"x","prefetchers":["gaze"],"workloads":["nope"]})",
+     "unknown workload 'nope'"},
+    // trace_dir is probed up front: a dangling path is a diagnostic
+    // naming the command that records the trace.
+    {R"({"name":"x","prefetchers":["gaze"],"workloads":["mcf"],)"
+     R"("trace_dir":"/no/such/dir"})",
+     "workload 'mcf' has no usable trace in '/no/such/dir': "
+     "/no/such/dir/mcf.gzt: cannot open trace file (record one with: "
+     "gaze_trace record --workloads=mcf --out-dir=/no/such/dir)"},
+};
+
+/** The reason an in-process gaze_serve gives for rejecting each bad
+    row's submission ("" for valid rows, which are not submitted). */
+std::vector<std::string>
+daemonRejections()
+{
+    serve::ServiceConfig cfg;
+    cfg.cacheDir = freshDir("spec_rows_daemon");
+    cfg.threads = 1;
+    serve::Service service(cfg);
+    std::vector<std::string> events;
+    uint64_t client = service.openSession(
+        [&events](const std::string &line) { events.push_back(line); });
+
+    std::vector<std::string> reasons;
+    for (const auto &row : kSpecRows) {
+        reasons.emplace_back();
+        if (!row.needle)
+            continue;
+        events.clear();
+        service.handleLine(
+            client, serve::encodeSubmit(parseSpecText(row.doc), 0));
+        EXPECT_EQ(events.size(), 1u) << row.doc;
+        JsonValue event;
+        std::string error;
+        if (events.empty() || !parseJson(events[0], &event, &error))
+            continue;
+        const JsonValue *kind = event.find("event");
+        const JsonValue *reason = event.find("reason");
+        EXPECT_TRUE(kind && kind->isString()
+                    && kind->asString() == "rejected")
+            << events[0];
+        if (reason && reason->isString())
+            reasons.back() = reason->asString();
+    }
+    service.closeSession(client);
+    return reasons;
 }
 
-// The service preflights specs with checkCampaignSpecDoc so a typo'd
-// submission becomes a "rejected" event instead of killing the daemon.
-// These tests pin the contract: empty string for anything the fatal
-// parser accepts, and a reason mirroring each GAZE_FATAL diagnosis.
-
-TEST(CampaignSpecPreflight, AcceptsWhatTheFatalParserAccepts)
+TEST(CampaignSpecRows, EveryFrontEndPrintsTheParsersDiagnostic)
 {
-    EXPECT_EQ(checkCampaignSpecDoc(parseSpecText(
-                  R"({"name":"c1","prefetchers":["gaze"],)"
-                  R"("workloads":["mcf"]})")),
-              "");
-    EXPECT_EQ(checkCampaignSpecDoc(parseSpecText(
-                  R"({"name":"c2",)"
-                  R"("prefetchers":["none","bingo:region=4096"],)"
-                  R"("suites":["spec06","gap"],"levels":["l1","l2"],)"
-                  R"("cores":[1,4],"warmup":1000,"sim":5000})")),
-              "");
-}
+    // The daemon answers first: the death tests below fork, and a live
+    // Service has worker threads.
+    std::vector<std::string> reasons = daemonRejections();
 
-TEST(CampaignSpecPreflight, MirrorsEveryFatalDiagnosisNonFatally)
-{
-    auto check = [](const char *text) {
-        return checkCampaignSpecDoc(parseSpecText(text));
-    };
-    auto has = [](const std::string &msg, const char *needle) {
-        return msg.find(needle) != std::string::npos;
-    };
-    EXPECT_TRUE(has(check(R"({"prefetchers":["gaze"]})"),
-                    "missing required \"name\""));
-    EXPECT_TRUE(has(check(R"({"name":"x"})"),
-                    "missing required \"prefetchers\""));
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["warp_drive"]})"),
-                    "unknown prefetcher 'warp_drive'"));
-    EXPECT_TRUE(
-        has(check(R"({"name":"x","prefetchers":["gaze"],"typo_key":1})"),
-            "unknown key"));
-    EXPECT_TRUE(
-        has(check(
-                R"({"name":"x","prefetchers":["gaze"],"levels":["l3"]})"),
-            "unknown attach level"));
-    // Suites are validated even when "workloads" overrides them.
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
-                          R"("workloads":["mcf"],)"
-                          R"("suites":["spec6_typo"]})"),
-                    "unknown suite"));
-    EXPECT_TRUE(
-        has(check(R"({"name":"x","prefetchers":["gaze"],"cores":[0]})"),
-            "campaign spec: core count must be >= 1"));
-    // Above the System's bound: rejected up front, because jobs with
-    // that many cores would panic in System and kill the daemon.
-    EXPECT_EQ(check(R"({"name":"x","prefetchers":["gaze"],)"
-                    R"("cores":[4,65]})"),
-              "campaign spec: core count 65 exceeds the 64-core limit");
-    EXPECT_EQ(check(R"({"name":"x","prefetchers":["gaze"],"cores":[64]})"),
-              "");
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
-                          R"("workloads":["nope"]})"),
-                    "unknown workload 'nope'"));
-    EXPECT_TRUE(has(check(R"(["not","an","object"])"),
-                    "must be a JSON object"));
-    EXPECT_TRUE(has(check(R"({"name":"","prefetchers":["gaze"]})"),
-                    "non-empty"));
-    // trace_dir is probed up front: a dangling path is a reason, not
-    // a mid-campaign surprise.
-    EXPECT_TRUE(has(check(R"({"name":"x","prefetchers":["gaze"],)"
-                          R"("workloads":["mcf"],)"
-                          R"("trace_dir":"/no/such/dir"})"),
-                    "no usable trace"));
-}
-
-TEST(CampaignSpecPreflight, PrefetcherOptionDiagnoses)
-{
-    EXPECT_EQ(checkPrefetcherSpecText(""), "");
-    EXPECT_EQ(checkPrefetcherSpecText("none"), "");
-    EXPECT_EQ(checkPrefetcherSpecText("gaze"), "");
-    EXPECT_EQ(checkPrefetcherSpecText("bingo:region=4096:phtways=8"),
-              "");
-    auto has = [](const std::string &msg, const char *needle) {
-        return msg.find(needle) != std::string::npos;
-    };
-    EXPECT_TRUE(has(checkPrefetcherSpecText("warp_drive"),
-                    "unknown prefetcher"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("bingo:warp=1"),
-                    "unknown option 'warp'"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("bingo:region"), "needs =N"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("bingo:region=3000"),
-                    "power of two"));
-    EXPECT_TRUE(
-        has(checkPrefetcherSpecText("bingo:region=128:region=128"),
-            "given twice"));
-    EXPECT_TRUE(has(checkPrefetcherSpecText("sms:scheme=psychic"),
-                    "unknown value 'psychic'"));
+    for (size_t i = 0; i < std::size(kSpecRows); ++i) {
+        const SpecRow &row = kSpecRows[i];
+        SCOPED_TRACE(row.doc);
+        JsonValue doc = parseSpecText(row.doc);
+        CampaignSpec spec;
+        std::string error;
+        bool ok = parseCampaignSpec(doc, &spec, &error);
+        if (!row.needle) {
+            EXPECT_TRUE(ok) << error;
+            CampaignSpec fatal = parseCampaignSpec(doc);
+            EXPECT_EQ(fatal.prefetchers, spec.prefetchers);
+            EXPECT_EQ(fatal.coreCounts, spec.coreCounts);
+            continue;
+        }
+        ASSERT_FALSE(ok);
+        EXPECT_NE(error.find(row.needle), std::string::npos) << error;
+        EXPECT_EXIT(parseCampaignSpec(doc), testing::ExitedWithCode(1),
+                    test::fatalRegex(error));
+        EXPECT_EQ(reasons[i], error);
+    }
 }
 
 TEST(CampaignExpand, CellOrderAndBaselineDedup)

@@ -238,8 +238,8 @@ TEST(GazeSimCliDeath, MalformedTraceDir)
     EXPECT_DEATH(parseGazeSimArgs({"--trace-dir="}),
                  "--trace-dir needs a directory");
     // Missing directory: every workload must name its absent file and
-    // the gaze_trace command that would create it (at expansion, as
-    // for a campaign spec).
+    // the gaze_trace command that would create it (at flag parse, as
+    // a campaign spec does when it is parsed).
     auto expand = [](const Args &args) {
         return expandCampaign(parseGazeSimArgs(args).spec);
     };

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the CSV result export and the Oracle vBerti variant
- * (§IV-B3's redundant-prefetch study).
+ * Tests for the result export (CSV text, the default BENCH_*.json
+ * path) and the Oracle vBerti variant (§IV-B3's redundant-prefetch
+ * study).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 
 #include "harness/export.hh"
 #include "harness/runner.hh"
@@ -35,30 +35,13 @@ TEST(CsvExport, RendersEscapedCsv)
               "3,\"with\"\"quote\"\n");
 }
 
-TEST(CsvExport, DisabledWithoutEnv)
+TEST(JsonExport, DefaultPathFollowsResultsDir)
 {
+    JsonExport doc("unit", "{}");
+    setenv("GAZE_RESULTS_DIR", "/tmp/results", 1);
+    EXPECT_EQ(doc.defaultPath(), "/tmp/results/BENCH_unit.json");
     unsetenv("GAZE_RESULTS_DIR");
-    CsvExport csv("unit2");
-    csv.header({"x"});
-    csv.row({"1"});
-    EXPECT_FALSE(CsvExport::enabled());
-    EXPECT_TRUE(csv.write().empty());
-}
-
-TEST(CsvExport, WritesFileWhenEnabled)
-{
-    setenv("GAZE_RESULTS_DIR", "/tmp", 1);
-    CsvExport csv("gaze_export_test");
-    csv.header({"x", "y"});
-    csv.row({"1", "2"});
-    std::string path = csv.write();
-    ASSERT_EQ(path, "/tmp/gaze_export_test.csv");
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "x,y");
-    unsetenv("GAZE_RESULTS_DIR");
-    std::remove(path.c_str());
+    EXPECT_EQ(doc.defaultPath(), "BENCH_unit.json");
 }
 
 TEST(CsvExportDeath, RowWidthMismatch)

@@ -273,7 +273,7 @@ TEST(ObsTrace, DocumentParsesAndCarriesBothProcessTracks)
     for (const JsonValue &e : events->items()) {
         ASSERT_TRUE(e.isObject());
         const std::string &ph = e.find("ph")->asString();
-        uint64_t pid = e.find("pid")->asCount("pid");
+        auto pid = static_cast<uint64_t>(e.find("pid")->asNumber());
         if (ph == "M" && e.find("name")->asString() == "process_name") {
             simNamed |= pid == obs::kPidSim;
             hostNamed |= pid == obs::kPidHost;

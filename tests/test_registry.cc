@@ -4,14 +4,16 @@
  * invariant under option order / alias spelling / default elision, and
  * reflected one-to-one in the cell-key hashes the caches address by),
  * schema-validation fatalities for every registered scheme (unknown
- * options, malformed numbers, bad enum values, misshapen flags), and
- * campaign-level dedupe of equivalently spelled cells.
+ * options, malformed numbers, bad enum values, misshapen flags), the
+ * non-fatal resolve that returns the words makePrefetcher exits with,
+ * and campaign-level dedupe of equivalently spelled cells.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/json.hh"
@@ -22,6 +24,7 @@
 #include "harness/runner.hh"
 #include "prefetchers/factory.hh"
 #include "prefetchers/registry.hh"
+#include "test_util.hh"
 #include "workloads/suites.hh"
 
 namespace gaze
@@ -124,7 +127,7 @@ TEST(Registry, EverySchemeDeclaresDocAndBuilds)
 {
     for (const auto *d : PrefetcherRegistry::instance().all()) {
         EXPECT_FALSE(d->doc.empty()) << d->name;
-        auto pf = resolvePrefetcherSpec(d->name).build();
+        auto pf = makePrefetcher(d->name);
         ASSERT_NE(pf, nullptr) << d->name;
         EXPECT_GT(pf->storageBits(), 0u) << d->name;
         for (const auto &os : d->options)
@@ -339,6 +342,33 @@ TEST(RegistryDeath, DuplicateOptionsAreFatal)
     EXPECT_DEATH(
         (void)makePrefetcher("sms:scheme=pc+offset:scheme=pc"),
         "given twice");
+}
+
+TEST(RegistryDeath, ResolveReturnsWhatMakePrefetcherExitsWith)
+{
+    for (const char *text :
+         {"", "none", "gaze", "bingo:region=4096:phtways=8"}) {
+        CanonicalSpec canon;
+        std::string error;
+        EXPECT_TRUE(resolvePrefetcherSpec(text, &canon, &error))
+            << text << ": " << error;
+    }
+    const std::pair<const char *, const char *> bad[] = {
+        {"warp_drive", "unknown prefetcher 'warp_drive'"},
+        {"bingo:warp=1", "unknown option 'warp'"},
+        {"bingo:region", "needs =N"},
+        {"bingo:region=3000", "power of two"},
+        {"bingo:region=128:region=128", "given twice"},
+        {"sms:scheme=psychic", "unknown value 'psychic'"},
+    };
+    for (const auto &[text, needle] : bad) {
+        CanonicalSpec canon;
+        std::string error;
+        EXPECT_FALSE(resolvePrefetcherSpec(text, &canon, &error)) << text;
+        EXPECT_NE(error.find(needle), std::string::npos) << error;
+        EXPECT_EXIT((void)makePrefetcher(text), testing::ExitedWithCode(1),
+                    test::fatalRegex(error));
+    }
 }
 
 TEST(RegistryDeath, UnknownSchemeNamesTheSpecAndTheRegistry)

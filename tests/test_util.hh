@@ -2,12 +2,15 @@
  * @file
  * Shared fakes and helpers for the unit tests: a scriptable lower-level
  * memory device with fixed latency, a fill receiver that records
- * completions, and an issue-capturing prefetcher wrapper.
+ * completions, an issue-capturing prefetcher wrapper, and a death-test
+ * regex for one exact diagnostic.
  */
 
 #pragma once
 
+#include <cstring>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "sim/prefetcher.hh"
@@ -143,6 +146,23 @@ drain(Pf &pf, int n = 200)
 {
     for (int i = 0; i < n; ++i)
         pf.tick();
+}
+
+/**
+ * A death-test regex (POSIX extended) matching only the GAZE_FATAL
+ * line that prints @p message word for word: "fatal: <message>
+ * (<file>:<line>)".
+ */
+inline std::string
+fatalRegex(const std::string &message)
+{
+    std::string re = "fatal: ";
+    for (char c : message) {
+        if (std::strchr("\\^$.|?*+()[]{}", c))
+            re += '\\';
+        re += c;
+    }
+    return re + " \\(";
 }
 
 } // namespace gaze::test
