@@ -22,7 +22,7 @@ Per-cell wall noise is expected — single cells finish in tens of
 milliseconds — which is why the gate is on the geomean across all
 cells x {polled, auto}, not on any single cell. Cells slower
 than the threshold are still listed, marked, for the human reading
-the log.
+the log, and a FAIL line names them, worst first.
 
 Usage: scripts/bench_compare.py [--threshold F] BASELINE FRESH
 """
@@ -106,9 +106,15 @@ def main(argv=None):
     print("geomean over %d (cell, engine) pairs: %.3fx "
           "(gate: >= %.2fx)" % (len(ratios), geomean, floor))
     if geomean < floor:
+        below = sorted((f[key] / b[key], key) for key in common
+                       if f[key] / b[key] < floor)
+        named = ", ".join("%s/%s/%s %.2fx" % (key + (ratio,))
+                          for ratio, key in below) or "none"
         print("bench_compare: FAIL — calibrated geomean dropped %.1f%% "
-              "(> %.0f%% tolerated)" %
-              ((1.0 - geomean) * 100, args.threshold * 100),
+              "(> %.0f%% tolerated); cells below the %.0f%% floor, "
+              "worst first: %s" %
+              ((1.0 - geomean) * 100, args.threshold * 100,
+               floor * 100, named),
               file=sys.stderr)
         return 1
     print("bench_compare: OK")

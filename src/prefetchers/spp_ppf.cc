@@ -144,8 +144,10 @@ SppPpfPrefetcher::onAccess(const DemandAccess &access)
             break;
 
         cursor += best->delta;
+        // Page-bounded: this SPP has no global history register (GHR)
+        // to carry the signature path into the next page.
         if (cursor < 0 || cursor >= int32_t(blocksPerPage))
-            break; // page-bounded (no GHR; see DESIGN.md)
+            break;
         Addr target = (page << pageShift)
                       | (Addr(cursor) << blockShift);
 

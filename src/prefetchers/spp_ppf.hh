@@ -13,7 +13,11 @@
  * features; proposals below the threshold are rejected. Accepted
  * prefetches are remembered so usefulness feedback (demand hit before
  * eviction vs. evicted untouched) can train the weights. The feature
- * set is reduced relative to the 39.3KB original (see DESIGN.md).
+ * set is reduced relative to the 39.3KB original: six hashed features
+ * (PC, target offset, signature, delta, lookahead depth, path
+ * confidence), each a table of 6-bit weights (128 entries by
+ * default). The baseline keeps PPF's filtering mechanism, not its
+ * storage budget; storageBits() reports this model's own size.
  */
 
 #pragma once

@@ -43,6 +43,9 @@ void
 Cache::setPrefetcher(Prefetcher *prefetcher, VirtualMemory *vm,
                      const Dram *dram, uint32_t cpu)
 {
+    GAZE_ASSERT(std::none_of(tagArr.begin(), tagArr.end(),
+                             [](Addr t) { return t & kBlkValid; }),
+                cfg.name, ": prefetcher attached after the first fill");
     pf = prefetcher;
     vmem = vm;
     if (pf) {
@@ -96,8 +99,9 @@ Cache::sendRequest(const Request &req)
         gate.requestWake(now());
         return true;
       case AccessType::Writeback:
-        // Writebacks are sunk unconditionally (see DESIGN.md): a full
-        // WQ would otherwise deadlock fills; occupancy is still
+        // Writebacks are sunk unconditionally: they come from
+        // evictions inside a fill, which cannot be retried, so a full
+        // WQ refusing them would deadlock fills. Occupancy is still
         // tracked so DRAM write-drain pressure is realistic.
         writeQ.push_back(r);
         gate.requestWake(now());
@@ -164,17 +168,27 @@ Cache::issuePrefetch(Addr addr, uint32_t fill_level, bool virt,
 }
 
 void
-Cache::scheduleResponse(const Request &req, Cycle when)
+Cache::scheduleResponse(RingBuffer<PendingResponse> &fifo,
+                        const Request &req, Cycle when)
 {
-    responses.push(PendingResponse{when, responseSeq++, req});
+    GAZE_ASSERT(fifo.empty() || fifo.back().ready <= when, cfg.name,
+                ": response FIFO out of ready order");
+    fifo.push_back(PendingResponse{when, responseSeq++, req});
 }
 
 void
 Cache::deliverResponses()
 {
-    while (!responses.empty() && responses.top().ready <= now()) {
-        Request r = responses.top().req;
-        responses.pop();
+    for (;;) {
+        RingBuffer<PendingResponse> *fifo = &hitResponses;
+        if (hitResponses.empty() ||
+            (!fillResponses.empty() &&
+             fillResponses.front() < hitResponses.front()))
+            fifo = &fillResponses;
+        if (fifo->empty() || fifo->front().ready > now())
+            return;
+        Request r = fifo->front().req;
+        fifo->pop_front();
         if (r.requester)
             r.requester->recvFill(r);
     }
@@ -272,10 +286,10 @@ Cache::handleRead(Request &req)
         }
         if (req.type == AccessType::Rfo)
             tagArr[slot] |= kBlkDirty;
-        if (req.vaddr)
+        if (pf && req.vaddr)
             meta[slot].vaddr = blockAlign(req.vaddr);
         notifyPrefetcherAccess(req, true);
-        scheduleResponse(req, now() + cfg.latency);
+        scheduleResponse(hitResponses, req, now() + cfg.latency);
         return true;
     }
 
@@ -329,7 +343,7 @@ Cache::handlePrefetch(Request &req)
             uint32_t way = static_cast<uint32_t>(
                 slot - size_t(set) * cfg.ways);
             repl->onHit(set, way);
-            scheduleResponse(req, now() + cfg.latency);
+            scheduleResponse(hitResponses, req, now() + cfg.latency);
         }
         return PfOutcome::Done;
     }
@@ -476,9 +490,11 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
     if (mark_prefetch)
         tag |= kBlkPrefetch;
     tagArr[slot] = tag;
-    meta[slot].pfScheme = mark_prefetch ? req.pfScheme : 0;
-    meta[slot].fillCycle = now();
-    meta[slot].vaddr = req.vaddr ? blockAlign(req.vaddr) : 0;
+    if (mark_prefetch || pf) {
+        meta[slot].pfScheme = mark_prefetch ? req.pfScheme : 0;
+        meta[slot].fillCycle = now();
+        meta[slot].vaddr = req.vaddr ? blockAlign(req.vaddr) : 0;
+    }
     repl->onFill(set, way, mark_prefetch);
 
     if (mark_prefetch) {
@@ -537,7 +553,7 @@ Cache::recvFill(const Request &req)
     // recycle the chain.
     for (const RequestPool::Node *w = e.waitersHead; w; w = w->next) {
         if (w->req.requester)
-            scheduleResponse(w->req, now() + 1);
+            scheduleResponse(fillResponses, w->req, now() + 1);
     }
     pool->releaseChain(e.waitersHead);
 
@@ -562,10 +578,13 @@ Cache::nextWakeCycle() const
         return now() + 1;
     // Quiet queues: the only self-known work is delivering already
     // scheduled responses (all strictly in the future here, since
-    // tick() drained everything due).
-    if (!responses.empty())
-        return responses.top().ready;
-    return kNeverWake;
+    // tick() drained everything due); the earlier FIFO head is next.
+    Cycle wake = kNeverWake;
+    if (!hitResponses.empty())
+        wake = hitResponses.front().ready;
+    if (!fillResponses.empty())
+        wake = std::min(wake, fillResponses.front().ready);
+    return wake;
 }
 
 bool

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -182,7 +181,11 @@ class Cache final : public MemoryDevice, public FillReceiver
     Cache(const Cache &) = delete;
     Cache &operator=(const Cache &) = delete;
 
-    /** Attach a prefetcher to this level (may be null). */
+    /**
+     * Attach a prefetcher to this level (may be null). Must come
+     * before the first fill: fills without a prefetcher skip the
+     * vaddr it would read.
+     */
     void setPrefetcher(Prefetcher *pf, VirtualMemory *vmem,
                        const Dram *dram, uint32_t cpu);
 
@@ -263,7 +266,14 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** "No such block" result from lookupSlot(). */
     static constexpr size_t kNoSlot = ~size_t(0);
 
-    /** Cold per-block metadata, touched on hits and fills only. */
+    /**
+     * Cold per-block metadata, written only where it is read: vaddr
+     * feeds the attached prefetcher (onEvict, FillEvent), and
+     * fillCycle/pfScheme are read only while the block's prefetch bit
+     * is set. A fill writes the record when it sets the prefetch bit
+     * or a prefetcher is attached; a hit updates vaddr only for a
+     * prefetcher. So the LLC's demand traffic never touches it.
+     */
     struct BlockMeta
     {
         Addr vaddr = 0;         ///< block-aligned vaddr of last toucher
@@ -286,11 +296,11 @@ class Cache final : public MemoryDevice, public FillReceiver
     struct PendingResponse
     {
         Cycle ready;
-        uint64_t seq;
+        uint64_t seq; ///< schedule order, the tie-break on equal ready
         Request req;
-        bool operator>(const PendingResponse &o) const
+        bool operator<(const PendingResponse &o) const
         {
-            return ready != o.ready ? ready > o.ready : seq > o.seq;
+            return ready != o.ready ? ready < o.ready : seq < o.seq;
         }
     };
 
@@ -302,7 +312,9 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** Fill a block; evicts (with writeback) as needed. */
     void fillBlock(const Request &req, bool mark_prefetch);
 
-    void scheduleResponse(const Request &req, Cycle when);
+    /** Queue @p req's response on @p fifo, to arrive at @p when. */
+    void scheduleResponse(RingBuffer<PendingResponse> &fifo,
+                          const Request &req, Cycle when);
     void deliverResponses();
 
     /** Outcome of processing the PQ head. */
@@ -348,8 +360,15 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** Flat open-addressed MSHR map; capacity = cfg.mshrs. */
     MshrTable<MshrEntry> mshr;
 
-    std::priority_queue<PendingResponse, std::vector<PendingResponse>,
-                        std::greater<>> responses;
+    /**
+     * Scheduled responses, in two FIFOs: tag hits (ready at now +
+     * latency) and fill forwards to MSHR waiters (ready at now + 1).
+     * Each delay is a per-cache constant and the clock never goes
+     * back, so each FIFO is sorted by (ready, seq), and merging the
+     * two heads delivers every response in (ready, seq) order.
+     */
+    RingBuffer<PendingResponse> hitResponses;
+    RingBuffer<PendingResponse> fillResponses;
     uint64_t responseSeq = 0;
 
     /** Counter slot for @p scheme_id, growing the table on demand. */

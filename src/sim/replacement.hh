@@ -44,7 +44,14 @@ class ReplacementPolicy
     virtual std::string name() const = 0;
 };
 
-/** True least-recently-used. */
+/**
+ * True least-recently-used, kept as a per-set recency rank per way:
+ * rank 0 is the MRU way, rank ways-1 the LRU way, and each set's ranks
+ * are a permutation of 0..ways-1. One byte per way keeps even the
+ * LLC's state small enough for the host's cache. Ways start ranked by
+ * index, way 0 least recent, so a full set that was never touched
+ * evicts its lowest way first.
+ */
 class LruPolicy : public ReplacementPolicy
 {
   public:
@@ -56,9 +63,11 @@ class LruPolicy : public ReplacementPolicy
     std::string name() const override { return "lru"; }
 
   private:
+    /** Move @p way to rank 0, aging every way that was more recent. */
+    void touch(uint32_t set, uint32_t way);
+
     uint32_t numWays;
-    std::vector<uint64_t> stamp;
-    uint64_t tick = 0;
+    std::vector<uint8_t> rank;
 };
 
 /**

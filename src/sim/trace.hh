@@ -3,8 +3,9 @@
  * Trace record format consumed by the core model. The synthetic workload
  * generators in src/workloads produce these; the format deliberately
  * mirrors what matters in a ChampSim data-access trace: a PC, an optional
- * memory operand, and front-end stall events (standing in for branch
- * mispredictions / instruction misses, see DESIGN.md).
+ * memory operand, and front-end stall events. The core models no branch
+ * predictor or instruction cache, so a record carries the stall cycles
+ * a branch misprediction or instruction miss would have cost.
  *
  * Sources come in two flavors: the in-memory VectorTrace below (what
  * the generators emit) and the streaming FileTrace in

@@ -1,8 +1,9 @@
 /**
  * @file
  * Functional virtual memory: a deterministic per-core vpage -> ppage
- * mapping. Translation latency is not modeled (see DESIGN.md); the
- * mapping exists so that
+ * mapping. Translation latency is not modeled: the core has no TLB,
+ * and what the compared prefetchers depend on is where pages land,
+ * not what a page walk costs. The mapping exists so that
  *  - physical-address prefetchers cannot usefully cross 4KB boundaries
  *    (adjacent virtual pages land on unrelated physical pages), and
  *  - virtual-address prefetchers (vBerti, vGaze) legitimately can.

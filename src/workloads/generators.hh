@@ -1,8 +1,9 @@
 /**
  * @file
- * Synthetic trace generators. Each generator reproduces one memory-
- * access *archetype* from the paper's workload suites (see DESIGN.md's
- * substitution table):
+ * Synthetic trace generators. The paper's ChampSim traces are large
+ * external downloads this repository does not ship, so each generator
+ * reproduces one memory-access *archetype* from the paper's workload
+ * suites instead (the benchmarks each stands in for are named below):
  *
  *  - streaming: long sequential walks over large arrays (bwaves, lbm,
  *    leslie3d; Ligra frontiers) — regions start at blocks 0,1 and run

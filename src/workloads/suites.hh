@@ -2,8 +2,10 @@
  * @file
  * The workload suite registry: named synthetic traces standing in for
  * the paper's SPEC06 / SPEC17 / Ligra / PARSEC / CloudSuite / GAP /
- * QMM trace sets (see DESIGN.md for the substitution rationale). Each
- * entry knows how to (re)generate its trace deterministically.
+ * QMM trace sets, which are external downloads this repository does not
+ * ship (workloads/generators.hh names the archetype each stands in
+ * with). Each entry knows how to (re)generate its trace
+ * deterministically.
  *
  * Trace lengths honor the GAZE_SIM_SCALE environment variable so the
  * benches can be scaled up or down without recompiling.

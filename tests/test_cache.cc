@@ -269,6 +269,87 @@ TEST_F(CacheTest, DemandMissLatencyAccounted)
     EXPECT_GE(cache->stats().avgDemandMissLatency(), 50.0);
 }
 
+/** Tokens of @p fills, in delivery order. */
+std::vector<uint64_t>
+tokensOf(const std::vector<Request> &fills)
+{
+    std::vector<uint64_t> out;
+    for (const Request &r : fills)
+        out.push_back(r.token);
+    return out;
+}
+
+TEST_F(CacheTest, ResponsesArriveInReadyOrderAcrossHitsAndFills)
+{
+    // Warm block A so a later read of it is a tag hit.
+    cache->sendRequest(demand(0xa000, &rx, 1));
+    run(60);
+    rx.fills.clear();
+
+    // A miss on B at c0: the lower level answers at c0 + 50 and the
+    // fill forward is ready at c0 + 51.
+    Cycle c0 = clock;
+    cache->sendRequest(demand(0xb040, &rx, 2));
+    run(48);
+    // The hit on A at c0 + 48 is scheduled first but ready at c0 + 53.
+    cache->sendRequest(demand(0xa000, &rx, 3));
+    run(2);
+    cache->tick();
+    mem.tick(); // the fill of B arrives at c0 + 50
+    EXPECT_TRUE(rx.fills.empty());
+    EXPECT_EQ(cache->nextWakeCycle(), c0 + 51); // the fill's head
+    ++clock;
+
+    run(1);
+    EXPECT_EQ(tokensOf(rx.fills), (std::vector<uint64_t>{2}));
+    EXPECT_EQ(cache->nextWakeCycle(), c0 + 53); // the hit's head
+    run(2);
+    EXPECT_EQ(tokensOf(rx.fills), (std::vector<uint64_t>{2, 3}));
+    EXPECT_EQ(cache->nextWakeCycle(), kNeverWake);
+}
+
+TEST_F(CacheTest, SameCycleResponsesArriveInScheduleOrder)
+{
+    // A 1-cycle hit latency makes a tag hit and a fill forward
+    // scheduled on the same cycle ready on the same next cycle. The
+    // fill is scheduled first when it arrives before the cache ticks.
+    CacheParams p = cache->params();
+    p.latency = 1;
+    for (bool fill_first : {false, true}) {
+        SCOPED_TRACE(fill_first);
+        Cycle clk = 0;
+        FakeMemory lower(&clk, 50);
+        Cache c(p, &lower, &clk);
+        FakeReceiver out;
+        auto step = [&](bool lower_first) {
+            if (lower_first)
+                lower.tick();
+            c.tick();
+            if (!lower_first)
+                lower.tick();
+            ++clk;
+        };
+
+        c.sendRequest(demand(0xa000, &out, 1));
+        while (clk < 60)
+            step(false);
+        out.fills.clear();
+
+        Cycle c0 = clk;
+        c.sendRequest(demand(0xb040, &out, 2));
+        while (clk < c0 + 50)
+            step(false);
+        c.sendRequest(demand(0xa000, &out, 3));
+        step(fill_first); // hit on A and fill of B, both ready c0 + 51
+        EXPECT_TRUE(out.fills.empty());
+        EXPECT_EQ(c.nextWakeCycle(), c0 + 51);
+        step(false);
+        EXPECT_EQ(tokensOf(out.fills),
+                  fill_first ? (std::vector<uint64_t>{2, 3})
+                             : (std::vector<uint64_t>{3, 2}));
+    }
+}
+
 TEST_F(CacheTest, SetsForComputesGeometry)
 {
     EXPECT_EQ(CacheParams::setsFor(48 * 1024, 12), 64u);

@@ -13,7 +13,9 @@
  *  - a demand merging into an in-flight lower-level prefetch upgrades
  *    its fill level so the data still reaches the L1;
  *  - an L1-fill prefetch that finds all L1 MSHRs busy is demoted to
- *    an L2 fill instead of clogging the PQ.
+ *    an L2 fill instead of clogging the PQ;
+ *  - an L2 without a prefetcher still credits an L1 scheme's L2-target
+ *    prefetches to that scheme.
  */
 
 #include <gtest/gtest.h>
@@ -183,6 +185,48 @@ TEST_F(MultiLevelTest, WritebackCascadesThroughHierarchy)
     // The dirty line landed in the L2 via writeback.
     EXPECT_TRUE(l2->present(0x80000));
     EXPECT_EQ(l2->stats().wbAccess, 1u);
+}
+
+/** Trains on nothing: it only gives hand-issued prefetches a scheme. */
+class SchemeOnly : public Prefetcher
+{
+  public:
+    std::string name() const override { return "scheme-only"; }
+    void onAccess(const DemandAccess &) override {}
+};
+
+TEST_F(MultiLevelTest, L2WithoutPrefetcherCreditsTheIssuingScheme)
+{
+    SchemeOnly pf;
+    pf.setSchemeId(3);
+    l1->setPrefetcher(&pf, nullptr, nullptr, 0);
+
+    // L2: 64 sets x 4 ways; same-set stride is 64*64 = 0x1000.
+    ASSERT_TRUE(l1->issuePrefetch(0x100040, levelL2, false, 0)); // set 1
+    ASSERT_TRUE(l1->issuePrefetch(0x200000, levelL2, false, 0)); // set 0
+    run(250);
+    ASSERT_TRUE(l2->present(0x100040));
+    ASSERT_FALSE(l1->present(0x100040));
+    ASSERT_GT(l2->schemeStats().size(), 3u);
+    EXPECT_EQ(l2->schemeStats()[3].filled, 2u);
+
+    // A demand hit at the L2 makes the first prefetch useful...
+    l1->sendRequest(demand(0x100040, 1));
+    run(50);
+    ASSERT_EQ(rx.fills.size(), 1u);
+    SchemeStats ss = l2->schemeStats()[3];
+    EXPECT_EQ(ss.useful, 1u);
+    EXPECT_EQ(ss.fillToUseCnt, 1u);
+    EXPECT_GT(ss.fillToUseSum, 0u);
+
+    // ...and four demands to the second one's set evict it untouched.
+    for (int i = 1; i <= 4; ++i)
+        l1->sendRequest(demand(0x200000 + i * 0x1000, 1 + i));
+    run(400);
+    ASSERT_FALSE(l2->present(0x200000));
+    EXPECT_EQ(l2->schemeStats()[3].useless, 1u);
+    EXPECT_EQ(l2->stats().pfUseful, 1u);
+    EXPECT_EQ(l2->stats().pfUseless, 1u);
 }
 
 TEST_F(MultiLevelTest, DuplicatePqTargetsAreDeduped)
