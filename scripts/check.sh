@@ -13,9 +13,9 @@
 #   4. smokes               registry JSON contract (registry_check.py),
 #                           trace record->validate->replay, campaign
 #                           cache, campaign service daemon
-#                           (serve_smoke.sh), engine throughput +
-#                           structure microbench, obs trace
-#                           (validate_obs.py on a fresh --obs-trace)
+#                           (serve_smoke.sh), engine throughput,
+#                           obs trace (validate_obs.py on a fresh
+#                           --obs-trace)
 #   5. bench_compare        normal (non-sanitize) gate only: rerun the
 #                           full engine benchmark at the committed
 #                           baseline's scale and fail on a >10%
@@ -175,13 +175,6 @@ GAZE_SIM_SCALE=0.02 ./bench/bench_engine --quick > engine_smoke.txt
 cat engine_smoke.txt
 grep -q "Minstr/s" engine_smoke.txt
 grep -q "metrics identical" engine_smoke.txt
-
-# Structure microbench smoke: the self-timed MshrTable/LruTable
-# harness must run its quick slice and report every structure (the
-# numbers are informational; a crash or a missing row is the failure).
-./bench/micro_structures --quick > micro_smoke.txt
-grep -q "MshrTable find (hit)" micro_smoke.txt
-grep -q "LruTable insert" micro_smoke.txt
 
 # Reference engine smoke through the real CLI: --engine=polled must
 # run a matrix end to end (bit-identity with the default auto engine

@@ -41,7 +41,8 @@ canonicalCellText(const RunConfig &cfg, const PfSpec &pf,
        << '/' << s.l2Mshrs;
     os << ";llc=" << s.llcBytesPerCore << '/' << s.llcWays << '/'
        << s.llcLatency << '/' << s.llcMshrsPerCore;
-    os << ";repl=" << s.replacement;
+    // LRU only: the literal keeps schema-6 hashes, so no cell re-runs.
+    os << ";repl=lru";
     os << ";dram=" << (s.dramAuto ? "auto" : "explicit") << '/'
        << s.dram.channels << '/' << s.dram.ranksPerChannel << '/'
        << s.dram.banksPerRank << '/' << s.dram.rowBufferBytes << '/'

@@ -14,8 +14,7 @@ Cache::Cache(const CacheParams &params, MemoryDevice *lower_dev,
     : cfg(params), lower(lower_dev), clock(clock_ptr), pool(pool_ptr),
       tagArr(size_t(params.sets) * params.ways, 0),
       meta(size_t(params.sets) * params.ways),
-      repl(makeReplacementPolicy(params.replacement, params.sets,
-                                 params.ways)),
+      lru(params.sets, params.ways),
       readQ(params.rqSize), writeQ(params.wqSize),
       prefetchQ(params.pqSize), mshr(params.mshrs)
 {
@@ -273,7 +272,7 @@ Cache::handleRead(Request &req)
         uint32_t set = setIndex(req.paddr);
         uint32_t way = static_cast<uint32_t>(slot
                                              - size_t(set) * cfg.ways);
-        repl->onHit(set, way);
+        lru.touch(set, way);
         if (tagArr[slot] & kBlkPrefetch) {
             ++stat.pfUseful;
             GAZE_OBS_HOOK(if (meta[slot].pfScheme) {
@@ -342,7 +341,7 @@ Cache::handlePrefetch(Request &req)
             uint32_t set = setIndex(req.paddr);
             uint32_t way = static_cast<uint32_t>(
                 slot - size_t(set) * cfg.ways);
-            repl->onHit(set, way);
+            lru.touch(set, way);
             scheduleResponse(hitResponses, req, now() + cfg.latency);
         }
         return PfOutcome::Done;
@@ -396,7 +395,7 @@ Cache::tick()
     uint32_t ops = 0;
 
     // Demand reads take priority for tag bandwidth.
-    while (ops < cfg.tagPorts && !readQ.empty()) {
+    while (ops < kTagPorts && !readQ.empty()) {
         Request req = readQ.front();
         if (!handleRead(req))
             break; // MSHR full: head-of-line stall
@@ -411,7 +410,7 @@ Cache::tick()
         handleWrite(req);
     }
 
-    while (ops < cfg.tagPorts && !prefetchQ.empty()) {
+    while (ops < kTagPorts && !prefetchQ.empty()) {
         Request req = prefetchQ.front();
         if (handlePrefetch(req) == PfOutcome::Retry)
             break; // blocked: retry next cycle
@@ -453,7 +452,7 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
     for (uint32_t w = 0; w < cfg.ways; ++w)
         valid_mask |= uint64_t(tagArr[base + w] & kBlkValid) << w;
 
-    uint32_t way = repl->victim(set, valid_mask);
+    uint32_t way = lru.victim(set, valid_mask);
     size_t slot = base + way;
     Addr old = tagArr[slot];
 
@@ -495,7 +494,7 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
         meta[slot].fillCycle = now();
         meta[slot].vaddr = req.vaddr ? blockAlign(req.vaddr) : 0;
     }
-    repl->onFill(set, way, mark_prefetch);
+    lru.touch(set, way);
 
     if (mark_prefetch) {
         ++stat.pfFilled;

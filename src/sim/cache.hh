@@ -49,11 +49,6 @@ struct CacheParams
     uint32_t wqSize = 64;
     uint32_t pqSize = 8;
 
-    /** Tag lookups (across RQ/WQ/PQ) per cycle. */
-    uint32_t tagPorts = 2;
-
-    std::string replacement = "lru";
-
     /** Derive sets from a byte size and associativity. */
     static uint32_t
     setsFor(uint64_t bytes, uint32_t ways)
@@ -251,6 +246,12 @@ class Cache final : public MemoryDevice, public FillReceiver
 
   private:
     /**
+     * Tag lookups per cycle, shared by the RQ and the PQ. The WQ
+     * drains one writeback per cycle outside this budget.
+     */
+    static constexpr uint32_t kTagPorts = 2;
+
+    /**
      * Block state lives in two split arrays: a flat tag word per block
      * (block-aligned paddr with valid/dirty/prefetch packed into the
      * low, always-zero address bits) and a cold metadata record. A set
@@ -351,7 +352,7 @@ class Cache final : public MemoryDevice, public FillReceiver
 
     std::vector<Addr> tagArr;
     std::vector<BlockMeta> meta;
-    std::unique_ptr<ReplacementPolicy> repl;
+    LruPolicy lru;
 
     RingBuffer<Request> readQ;
     RingBuffer<Request> writeQ;

@@ -39,14 +39,6 @@ System::System(const SystemConfig &config)
 {
     GAZE_ASSERT(cfg.numCores >= 1 && cfg.numCores <= kMaxCores,
                 "bad core count");
-    // Validate the replacement policy eagerly, before any cache is
-    // built, so a bad campaign/CLI string dies here with the full
-    // list instead of surfacing from some worker mid-run (mirrors the
-    // prefetcher registry's unknown-scheme diagnostics).
-    if (!isKnownReplacementPolicy(cfg.replacement))
-        GAZE_FATAL("unknown replacement policy '", cfg.replacement,
-                   "' in SystemConfig (known: ",
-                   knownReplacementPolicyList(), ")");
 
     DramParams dp = cfg.dramAuto ? DramParams::forCores(cfg.numCores)
                                  : cfg.dram;
@@ -68,7 +60,6 @@ System::System(const SystemConfig &config)
     llc_p.rqSize = 64 * cfg.numCores;
     llc_p.wqSize = 64 * cfg.numCores;
     llc_p.pqSize = 32 * cfg.numCores;
-    llc_p.replacement = cfg.replacement;
     llcCache = std::make_unique<Cache>(llc_p, dramCtrl.get(), &clock,
                                        &pool);
 
@@ -83,7 +74,6 @@ System::System(const SystemConfig &config)
         l2_p.rqSize = 32;
         l2_p.wqSize = 32;
         l2_p.pqSize = 16;
-        l2_p.replacement = cfg.replacement;
         l2s.push_back(std::make_unique<Cache>(l2_p, llcCache.get(),
                                               &clock, &pool));
 
@@ -97,7 +87,6 @@ System::System(const SystemConfig &config)
         l1_p.rqSize = 64;
         l1_p.wqSize = 64;
         l1_p.pqSize = 8;
-        l1_p.replacement = cfg.replacement;
         l1ds.push_back(std::make_unique<Cache>(l1_p, l2s.back().get(),
                                                &clock, &pool));
 

@@ -85,8 +85,6 @@ struct SystemConfig
     uint32_t llcLatency = 20;
     uint32_t llcMshrsPerCore = 64;
 
-    std::string replacement = "lru";
-
     /**
      * When true (default) the DRAM channel/rank count follows the
      * paper's per-core-count scaling; otherwise @p dram is used as-is.

@@ -385,6 +385,21 @@ TEST(CellKey, SensitiveToEveryAxis)
     EXPECT_EQ(cellHashHex(h).size(), 16u);
 }
 
+TEST(CellKey, DefaultSystemTextIsPinned)
+{
+    // Every cached cell is addressed by a hash of this text. Changing
+    // how a default system renders re-keys every cell, so it must come
+    // with a kCellSchemaVersion bump and a new pin. (The phases after
+    // ";warmup=" scale with GAZE_SIM_SCALE, so the pin stops there.)
+    std::string text = canonicalCellText(RunConfig{}, PfSpec{"gaze"},
+                                         {findWorkload("mcf")});
+    EXPECT_EQ(text.substr(0, text.find(";warmup=")),
+              "schema=6;core=4/4/352/128/72/2;l1d=49152/12/5/16;"
+              "l2=524288/8/10/32;llc=2097152/16/20/64;repl=lru;"
+              "dram=auto/1/1/8/2048/3200/4/64/12.5/12.5/12.5/64/64/48/16;"
+              "max_cpi=2000");
+}
+
 // ---- result cache ---------------------------------------------------
 
 TEST(ResultCacheTest, StoreLookupRoundTrip)

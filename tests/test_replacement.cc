@@ -1,8 +1,7 @@
 /**
  * @file
- * Replacement policy tests: LRU recency order (and its equivalence to
- * a global-stamp LRU), SRRIP insertion and aging (prefetch fills
- * inserted distant), Random bounds, factory.
+ * LRU replacement tests: recency order, invalid ways first, set
+ * independence, and equivalence to a global-stamp LRU.
  */
 
 #include <gtest/gtest.h>
@@ -86,12 +85,12 @@ TEST(Lru, SameVictimsAsGlobalStampLru)
                 uint32_t want = stamps.victim(set, valid[set]);
                 ASSERT_EQ(ranks.victim(set, valid[set]), want)
                     << "step " << step;
-                ranks.onFill(set, want, rng.chance(0.3));
+                ranks.touch(set, want);
                 stamps.touch(set, want);
                 valid[set] |= uint64_t(1) << want;
             } else if (r < 6) {
                 uint32_t way = static_cast<uint32_t>(rng.below(ways));
-                ranks.onHit(set, way);
+                ranks.touch(set, way);
                 stamps.touch(set, way);
             } else if (r < 7) {
                 valid[set] &= rng.next() & allValid(ways);
@@ -118,63 +117,21 @@ TEST(Lru, EvictsOldest)
 {
     LruPolicy p(1, 4);
     for (uint32_t w = 0; w < 4; ++w)
-        p.onFill(0, w, false);
+        p.touch(0, w);
     EXPECT_EQ(p.victim(0, allValid(4)), 0u);
-    p.onHit(0, 0);
+    p.touch(0, 0);
     EXPECT_EQ(p.victim(0, allValid(4)), 1u);
 }
 
 TEST(Lru, SetsIndependent)
 {
     LruPolicy p(2, 2);
-    p.onFill(0, 0, false);
-    p.onFill(0, 1, false);
-    p.onFill(1, 1, false);
-    p.onFill(1, 0, false);
+    p.touch(0, 0);
+    p.touch(0, 1);
+    p.touch(1, 1);
+    p.touch(1, 0);
     EXPECT_EQ(p.victim(0, allValid(2)), 0u);
     EXPECT_EQ(p.victim(1, allValid(2)), 1u);
-}
-
-TEST(Srrip, HitPromotesToNearImminent)
-{
-    SrripPolicy p(1, 4);
-    for (uint32_t w = 0; w < 4; ++w)
-        p.onFill(0, w, false);
-    p.onHit(0, 2);
-    // Way 2 was promoted: the victim must be one of the others.
-    EXPECT_NE(p.victim(0, allValid(4)), 2u);
-}
-
-TEST(Srrip, PrefetchInsertedDistant)
-{
-    SrripPolicy p(1, 2);
-    p.onFill(0, 0, /*prefetch=*/true);
-    p.onFill(0, 1, /*prefetch=*/false);
-    // The prefetch (distant RRPV) is the first victim.
-    EXPECT_EQ(p.victim(0, allValid(2)), 0u);
-}
-
-TEST(Random, VictimWithinRangeAndInvalidFirst)
-{
-    RandomPolicy p(1, 8);
-    uint64_t valid = allValid(8);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_LT(p.victim(0, valid), 8u);
-    valid &= ~(uint64_t(1) << 5);
-    EXPECT_EQ(p.victim(0, valid), 5u);
-}
-
-TEST(Factory, MakesAllPolicies)
-{
-    EXPECT_EQ(makeReplacementPolicy("lru", 4, 4)->name(), "lru");
-    EXPECT_EQ(makeReplacementPolicy("srrip", 4, 4)->name(), "srrip");
-    EXPECT_EQ(makeReplacementPolicy("random", 4, 4)->name(), "random");
-}
-
-TEST(FactoryDeath, UnknownPolicyFatal)
-{
-    EXPECT_DEATH((void)makeReplacementPolicy("plru", 4, 4),
-                 "unknown replacement");
 }
 
 } // namespace

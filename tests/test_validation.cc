@@ -11,7 +11,6 @@
 #include "core/gaze.hh"
 #include "core/gaze_config.hh"
 #include "sim/cache.hh"
-#include "sim/system.hh"
 #include "test_util.hh"
 
 namespace gaze
@@ -56,31 +55,12 @@ TEST(CacheGeometryDeath, DegenerateWaysOrMshrsPanic)
     CacheParams ways = {};
     ways.ways = 0;
     EXPECT_DEATH(Cache(ways, &mem, &clock), "at least one way");
+    // LRU ranks are bytes and victim masks 64 bits: 64 ways is the cap.
+    ways.ways = 65;
+    EXPECT_DEATH(Cache(ways, &mem, &clock), "at most 64.*got 65");
     CacheParams mshrs = {};
     mshrs.mshrs = 0;
     EXPECT_DEATH(Cache(mshrs, &mem, &clock), "at least one MSHR");
-}
-
-TEST(SystemConfigDeath, UnknownReplacementPolicyDiesEagerly)
-{
-    // The bad string must die at System construction — before any
-    // cache exists, naming the offender and the alternatives (the
-    // registry's unknown-scheme diagnostics, mirrored).
-    SystemConfig cfg;
-    cfg.replacement = "plru";
-    EXPECT_DEATH(System{cfg},
-                 "unknown replacement policy 'plru'.*lru, srrip, "
-                 "random");
-}
-
-TEST(SystemConfigValidation, KnownReplacementPoliciesConstruct)
-{
-    for (const auto &name : knownReplacementPolicies()) {
-        SystemConfig cfg;
-        cfg.replacement = name;
-        System sys(cfg);
-        EXPECT_EQ(sys.config().replacement, name);
-    }
 }
 
 TEST(GazeConfigValidation, PaperDefaultsAreValid)
