@@ -7,9 +7,11 @@
  * channels scale with cores per Table II) and reports per-scheme
  * speedups plus the DRAM bus utilization behind them. Accurate
  * prefetchers (Gaze) degrade gracefully as contention grows;
- * aggressive inaccurate ones (PMP class) fall off.
+ * aggressive inaccurate ones (PMP class) fall off. Phase lengths
+ * follow GAZE_SIM_SCALE.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "harness/runner.hh"
@@ -22,8 +24,6 @@ main()
     using namespace gaze;
 
     RunConfig cfg;
-    cfg.warmupInstr = 80000;
-    cfg.simInstr = 150000;
 
     const char *schemes[] = {"vberti", "pmp", "gaze"};
 
@@ -42,7 +42,11 @@ main()
             PrefetchMetrics m = computeMetrics(base, r);
             row.push_back(TextTable::fmt(m.speedup));
             if (std::string(pf) == "gaze") {
-                double cycles = double(r.cores[0].cycles);
+                // The DRAM counts busy cycles until the slowest core
+                // finishes its measured phase.
+                double cycles = 0.0;
+                for (const auto &c : r.cores)
+                    cycles = std::max(cycles, double(c.cycles));
                 uint32_t channels = DramParams::forCores(cores).channels;
                 util = cycles > 0 ? double(r.dram.busBusyCycles)
                                         / (cycles * channels)

@@ -134,8 +134,8 @@ ctest -L tier1 --output-on-failure --stop-on-failure -j
 # through the registry — parse, canonicalize, build, storageBits() —
 # and registry_check.py asserts the contract on the result: every
 # scheme has a canonical spelling, a sane storage_kib and non-empty
-# docs.
-./src/gaze_sim --list-prefetchers=json > registry.json
+# docs. The text view adds the storage tables.
+./src/gaze_campaign describe --json > registry.json
 python3 ../scripts/lint/registry_check.py \
     --require=gaze,vberti,sms,dspatch,ip_stride registry.json
 ./src/gaze_campaign describe > /dev/null

@@ -27,9 +27,6 @@ and fails the build when a change breaks one statically:
                          vectors, or justify genuinely cold uses
   using-namespace-header `using namespace` at header scope
   pragma-once            header missing `#pragma once`
-  register-anchor        GAZE_REGISTER_PREFETCHER without the matching
-                         force-link anchor in prefetchers/registry.cc
-                         (the static-lib linker would drop the scheme)
   obs-direct-mutation    a `stat.<field>` counter mutated in an
                          instrumented sim file without a matching
                          GAZE_OBS_*_STAT entry in obs/stat_names.inc —
@@ -74,11 +71,6 @@ ORDERED_OUTPUT_FILES = re.compile(
 
 # The one file allowed to read the host clock.
 WALLCLOCK_SHIM = re.compile(r"harness/wallclock\.hh$")
-
-REGISTRY_CC = "prefetchers/registry.cc"
-
-REGISTER_RE = re.compile(r"\bGAZE_REGISTER_PREFETCHER\((\w+)\)")
-ANCHOR_RE = re.compile(r"&gazePrefetcherRegistrar_(\w+)\b")
 
 
 def strip_comments_and_strings(text):
@@ -295,67 +287,6 @@ def rule_pragma_once(sf):
                   "header has no '#pragma once'")
 
 
-def rule_register_anchor(files):
-    """Whole-tree rule: every GAZE_REGISTER_PREFETCHER(x) needs a
-    force-link anchor (&gazePrefetcherRegistrar_x) in registry.cc, and
-    every anchor needs a live registration; registrations must live in
-    a .cc so each scheme has exactly one registrar object."""
-    registry = None
-    registered = {}  # ident -> (file, line)
-    for sf in files:
-        if sf.relpath.endswith(REGISTRY_CC):
-            registry = sf
-            continue
-        for lineno, line in enumerate(sf.lines, 1):
-            if re.search(r"#\s*define\s+GAZE_REGISTER_PREFETCHER", line):
-                continue  # the macro's own definition
-            for m in REGISTER_RE.finditer(line):
-                ident = m.group(1)
-                if sf.is_header():
-                    yield Finding(
-                        sf.relpath, lineno, "register-anchor",
-                        "GAZE_REGISTER_PREFETCHER(%s) in a header: "
-                        "every includer would define a duplicate "
-                        "registrar; register in the scheme's .cc"
-                        % ident)
-                elif ident in registered:
-                    prev = registered[ident]
-                    yield Finding(
-                        sf.relpath, lineno, "register-anchor",
-                        "duplicate GAZE_REGISTER_PREFETCHER(%s) "
-                        "(also at %s:%d)" % (ident, prev[0], prev[1]))
-                else:
-                    registered[ident] = (sf.relpath, lineno)
-    if registry is None:
-        if registered:
-            first = sorted(registered.items())[0]
-            yield Finding(first[1][0], first[1][1], "register-anchor",
-                          "schemes are registered but %s was not "
-                          "scanned; run on the whole src/ tree"
-                          % REGISTRY_CC)
-        return
-    anchors = {}
-    for lineno, line in enumerate(registry.lines, 1):
-        for m in ANCHOR_RE.finditer(line):
-            anchors.setdefault(m.group(1), lineno)
-    for ident, (path, lineno) in sorted(registered.items()):
-        if ident not in anchors:
-            yield Finding(
-                path, lineno, "register-anchor",
-                "GAZE_REGISTER_PREFETCHER(%s) has no "
-                "&gazePrefetcherRegistrar_%s anchor in %s; the "
-                "static-lib linker will drop this scheme from any "
-                "binary that does not name its symbols"
-                % (ident, ident, REGISTRY_CC))
-    for ident, lineno in sorted(anchors.items()):
-        if ident not in registered:
-            yield Finding(
-                registry.relpath, lineno, "register-anchor",
-                "anchor &gazePrefetcherRegistrar_%s has no matching "
-                "GAZE_REGISTER_PREFETCHER(%s); remove the stale "
-                "anchor" % (ident, ident))
-
-
 # Sim files whose `stat.` counter mutations must be mirrored in the
 # obs bind manifest; the includer-side macros in system.cc turn each
 # manifest entry into a registry binding.
@@ -465,8 +396,6 @@ PER_FILE_RULES = [
 ]
 
 TREE_RULES = [
-    ("register-anchor", rule_register_anchor,
-     "GAZE_REGISTER_PREFETCHER without a registry.cc anchor"),
     ("obs-direct-mutation", rule_obs_direct_mutation,
      "stat counter mutated without an obs/stat_names.inc entry"),
 ]

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Validate `gaze_sim --list-prefetchers=json` output.
+"""Validate `gaze_campaign describe --json` output.
 
-scripts/check.sh used to smoke the registry listing with a chain of
-greps for literal substrings; this parses the JSON instead and
-asserts the actual contract: every registered scheme has a non-empty
-`canonical` spelling, a numeric non-negative `storage_kib`, and
-non-empty documentation. Optionally asserts that specific schemes are
-present at all (--require).
+Parses the registry listing and asserts its contract: every
+registered scheme has a non-empty `canonical` spelling, a numeric
+non-negative `storage_kib`, and non-empty documentation. Optionally
+asserts that specific schemes are present at all (--require).
 
     registry_check.py [--require=name,name,...] registry.json
-    gaze_sim --list-prefetchers=json | registry_check.py --require=gaze -
+    gaze_campaign describe --json | registry_check.py --require=gaze -
 """
 
 import argparse
@@ -71,7 +69,7 @@ def check(doc, require):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="validate gaze_sim --list-prefetchers=json output")
+        description="validate gaze_campaign describe --json output")
     parser.add_argument("--require", default="",
                         help="comma-separated scheme names that must "
                         "be registered")

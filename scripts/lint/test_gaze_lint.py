@@ -84,20 +84,6 @@ class ViolationFixtures(unittest.TestCase):
     def test_pragma_once(self):
         self.assert_found("src/common/no_pragma.hh", 1, "pragma-once")
 
-    def test_register_anchor_missing(self):
-        self.assert_found("src/prefetchers/orphan.cc", 5,
-                          "register-anchor")
-
-    def test_register_anchor_stale(self):
-        self.assert_found("src/prefetchers/registry.cc", 9,
-                          "register-anchor")
-
-    def test_anchored_scheme_is_clean(self):
-        for path, line, rule in self.findings:
-            if rule == "register-anchor":
-                self.assertNotEqual((path, line),
-                                    ("src/prefetchers/orphan.cc", 6))
-
     def test_serve_isolation_core_including_serve(self):
         self.assert_found("src/sim/uses_serve.cc", 3,
                           "serve-isolation")
@@ -143,8 +129,6 @@ class ViolationFixtures(unittest.TestCase):
             ("src/prefetchers/hot_list.cc", 5, "hot-container"),
             ("src/common/using_ns.hh", 6, "using-namespace-header"),
             ("src/common/no_pragma.hh", 1, "pragma-once"),
-            ("src/prefetchers/orphan.cc", 5, "register-anchor"),
-            ("src/prefetchers/registry.cc", 9, "register-anchor"),
             ("src/sim/cache.cc", 8, "obs-direct-mutation"),
             ("src/sim/uses_serve.cc", 3, "serve-isolation"),
             ("src/serve/host_clock.cc", 3, "serve-isolation"),

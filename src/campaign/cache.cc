@@ -125,8 +125,8 @@ ResultCache::lookup(uint64_t hash, const std::string &key,
     }
 
     // Per-scheme attribution (schema v4). An empty array is valid —
-    // baselines have no schemes, and GAZE_OBS=OFF builds record none —
-    // but a missing or malformed member is a defect, hence a miss.
+    // baselines have no schemes — but a missing or malformed member
+    // is a defect, hence a miss.
     const JsonValue *schemes = doc.find("schemes");
     if (!schemes || !schemes->isArray()) {
         if (why)

@@ -10,6 +10,7 @@
 #include "harness/cell_key.hh"
 #include "harness/export.hh"
 #include "harness/table.hh"
+#include "prefetchers/factory.hh"
 
 namespace gaze
 {
@@ -174,8 +175,8 @@ writeCellMetrics(JsonWriter &j, const PrefetchMetrics &m, double ipc,
     j.field("pf_late_rfo", m.pfLateRfo);
     j.field("llc_miss_base", m.llcMissBase);
     j.field("llc_miss_pf", m.llcMissPf);
-    // Per-scheme attribution (obs lifecycle tracking; empty on
-    // GAZE_OBS=OFF builds and for baselines).
+    // Per-scheme attribution (obs lifecycle tracking; empty for
+    // baselines).
     j.key("schemes").beginArray();
     for (const SchemeMetrics &s : m.schemes) {
         j.beginObject();
@@ -369,14 +370,17 @@ std::string
 reportTable(const std::vector<CampaignSuiteRow> &rows)
 {
     TextTable t({"prefetcher", "level", "cores", "suite", "workloads",
-                 "speedup", "accuracy", "coverage", "late"});
+                 "speedup", "accuracy", "coverage", "late", "storage"});
     for (const auto &row : rows) {
+        auto pf = makePrefetcher(row.prefetcher);
+        double kib = pf ? double(pf->storageBits()) / 8 / 1024 : 0.0;
         t.addRow({row.prefetcher, row.level, std::to_string(row.cores),
                   row.suite, std::to_string(row.workloads),
                   TextTable::fmt(row.summary.speedup),
                   TextTable::pct(row.summary.accuracy),
                   TextTable::pct(row.summary.coverage),
-                  TextTable::pct(row.summary.lateFraction)});
+                  TextTable::pct(row.summary.lateFraction),
+                  TextTable::fmt(kib, 1) + "KB"});
     }
     return t.toString();
 }

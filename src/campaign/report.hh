@@ -102,7 +102,11 @@ CampaignReport buildReport(const Campaign &campaign,
                            const CellRecords &records,
                            const JsonValue *previous);
 
-/** Render the suite rows as an aligned text table for stdout. */
+/**
+ * Render the suite rows as an aligned text table for stdout, with
+ * each row's modeled prefetcher storage (its storageBits(), in KB) as
+ * the last column. The JSON and CSV reports carry no storage.
+ */
 std::string reportTable(const std::vector<CampaignSuiteRow> &rows);
 
 /** Cache coverage of a campaign without simulating anything. */

@@ -354,7 +354,8 @@ GazePrefetcher::atOccupancy() const
     return at.occupancy();
 }
 
-GAZE_REGISTER_PREFETCHER(gaze)
+PrefetcherDescriptor
+gazeDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "gaze";

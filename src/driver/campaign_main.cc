@@ -4,7 +4,8 @@
  * addressed result cache. "run" simulates whatever the cache is
  * missing (optionally one shard of it) and, when unsharded,
  * aggregates the report; "report" aggregates from the cache alone;
- * "status" shows cache coverage. Flag parsing lives in driver/cli,
+ * "status" shows cache coverage; "describe" prints the prefetcher
+ * registry and the storage tables. Flag parsing lives in driver/cli,
  * everything else in src/campaign.
  */
 
@@ -18,6 +19,7 @@
 #include "campaign/spec.hh"
 #include "driver/cli.hh"
 #include "harness/export.hh"
+#include "harness/storage_model.hh"
 #include "obs/trace.hh"
 #include "prefetchers/registry.hh"
 
@@ -151,6 +153,8 @@ main(int argc, char **argv)
       case GazeCampaignOptions::Command::Describe:
         std::fputs(renderPrefetcherList(opt.jsonOutput).c_str(),
                    stdout);
+        if (!opt.jsonOutput)
+            std::printf("\n%s", renderStorageTables().c_str());
         return 0;
       case GazeCampaignOptions::Command::Help:
         std::fputs(gazeCampaignUsage(), stdout);

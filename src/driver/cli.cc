@@ -56,11 +56,6 @@ const char *gazeSimUsageText =
     "                         [$GAZE_RESULTS_DIR/]BENCH_<name>.json)\n"
     "  --quiet                no per-cell progress on stderr\n"
     "  --list                 print known prefetchers/suites/workloads\n"
-    "  --list-prefetchers[=json]\n"
-    "                         print every registered scheme with its\n"
-    "                         typed options, defaults and docs,\n"
-    "                         generated from the registry (json: one\n"
-    "                         machine-readable document)\n"
     "  --help                 this text\n"
     "\n"
     "GAZE_SIM_SCALE scales default trace/phase lengths, as in the\n"
@@ -107,8 +102,10 @@ const char *gazeCampaignUsageText =
     "            --json for one machine-readable line; exit 2 when\n"
     "            cells are missing either way)\n"
     "  describe  print every registered prefetcher scheme with its\n"
-    "            typed options, defaults and docs (add --json for a\n"
-    "            machine-readable document); needs no --spec\n"
+    "            typed options, defaults and docs, then the storage\n"
+    "            tables (Table I: Gaze by structure; Table IV: every\n"
+    "            evaluated scheme); --json prints the registry alone\n"
+    "            as one machine-readable document; needs no --spec\n"
     "\n"
     "options:\n"
     "  --spec=FILE        campaign spec (JSON; see README)\n"
@@ -263,17 +260,6 @@ parseGazeSimArgs(const std::vector<std::string> &args)
             return opt;
         } else if (key == "--list") {
             opt.showList = true;
-            return opt;
-        } else if (key == "--list-prefetchers") {
-            if (val.empty())
-                opt.listPrefetchers =
-                    GazeSimOptions::ListPrefetchers::Text;
-            else if (val == "json")
-                opt.listPrefetchers =
-                    GazeSimOptions::ListPrefetchers::Json;
-            else
-                GAZE_FATAL("--list-prefetchers takes no value or "
-                           "=json, got '", val, "'");
             return opt;
         } else if (key == "--quiet") {
             opt.verbose = false;

@@ -23,14 +23,6 @@ namespace gaze
 /** Parsed gaze_sim command line. */
 struct GazeSimOptions
 {
-    /** --list-prefetchers[=json]: registry introspection mode. */
-    enum class ListPrefetchers
-    {
-        No,   ///< flag absent
-        Text, ///< human-readable scheme/option table
-        Json  ///< one machine-readable JSON document
-    };
-
     /**
      * The matrix as a campaign: --level and --cores are one-entry
      * axes; the phase lengths, the engine and the --obs-timeline
@@ -47,9 +39,6 @@ struct GazeSimOptions
 
     /** --engine-stats: print per-cell simulation speed after the run. */
     bool engineStats = false;
-
-    /** Render the prefetcher registry, run nothing. */
-    ListPrefetchers listPrefetchers = ListPrefetchers::No;
 };
 
 /**

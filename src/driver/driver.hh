@@ -77,8 +77,8 @@ std::string gazeSimEngineTable(const GazeSimRun &run);
 /**
  * Render the per-scheme lifecycle breakdown (obs attribution): one
  * row per (prefetcher, workload, scheme) with accuracy / pollution /
- * timeliness. Empty string when no cell carries scheme data
- * (GAZE_OBS=OFF builds), so callers can print it unconditionally.
+ * timeliness. Empty string when no cell carries scheme data, so
+ * callers can print it unconditionally.
  */
 std::string gazeSimSchemeTable(const GazeSimRun &run);
 

@@ -14,7 +14,6 @@
 #include "driver/driver.hh"
 #include "harness/export.hh"
 #include "prefetchers/factory.hh"
-#include "prefetchers/registry.hh"
 #include "workloads/suites.hh"
 
 namespace
@@ -50,14 +49,6 @@ main(int argc, char **argv)
     }
     if (opt.showList) {
         printLists();
-        return 0;
-    }
-    if (opt.listPrefetchers != GazeSimOptions::ListPrefetchers::No) {
-        std::fputs(renderPrefetcherList(
-                       opt.listPrefetchers
-                       == GazeSimOptions::ListPrefetchers::Json)
-                       .c_str(),
-                   stdout);
         return 0;
     }
 

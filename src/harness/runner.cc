@@ -6,7 +6,6 @@
 
 #include "common/log.hh"
 #include "harness/cell_key.hh"
-#include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
 #include "prefetchers/factory.hh"
@@ -68,13 +67,10 @@ Runner::execute(const std::vector<WorkloadDef> &mix, const PfSpec &pf)
     // Observability attachments. The registry binds pointers at live
     // counter fields (zero hot-path indirection); the sampler only
     // joins after warmup + resetStats so its rows cover measured time.
-    // When GAZE_OBS is compiled out the engine hooks are no-ops, so
-    // none of this is wired up (GAZE_OBS_ON is a compile-time 0).
     obs::Registry registry;
     std::unique_ptr<obs::IntervalSampler> sampler;
-    const bool obsOn = GAZE_OBS_ON && cfg.obs.enabled();
     std::string obsLabel;
-    if (obsOn) {
+    if (cfg.obs.enabled()) {
         std::string wl;
         for (const auto &w : mix)
             wl += (wl.empty() ? "" : "+") + w.name;
@@ -152,28 +148,6 @@ Runner::evaluateMix(const std::vector<WorkloadDef> &mix, const PfSpec &pf)
     const RunResult &base = baselineMix(mix);
     RunResult r = runMix(mix, pf);
     return computeMetrics(base, r);
-}
-
-SuiteSummary
-evaluateSuite(Runner &runner, const std::vector<WorkloadDef> &workloads,
-              const PfSpec &pf)
-{
-    GAZE_ASSERT(!workloads.empty(), "empty suite");
-    std::vector<double> speedups;
-    double acc = 0.0, cov = 0.0, late = 0.0;
-    for (const auto &w : workloads) {
-        PrefetchMetrics m = runner.evaluate(w, pf);
-        speedups.push_back(m.speedup);
-        acc += m.accuracy;
-        cov += m.coverage;
-        late += m.lateFraction;
-    }
-    SuiteSummary s;
-    s.speedup = geomean(speedups);
-    s.accuracy = acc / double(workloads.size());
-    s.coverage = cov / double(workloads.size());
-    s.lateFraction = late / double(workloads.size());
-    return s;
 }
 
 } // namespace gaze

@@ -123,8 +123,9 @@ class Runner
 };
 
 /**
- * Suite-level helper: geometric-mean speedup of @p pf over the
- * workloads of @p suite (the bars of Figs. 6-8).
+ * One prefetcher's aggregate over a group of workloads (a report
+ * suite row, the bars of Figs. 6-8): geometric-mean speedup and the
+ * mean accuracy, coverage and late fraction.
  */
 struct SuiteSummary
 {
@@ -133,9 +134,5 @@ struct SuiteSummary
     double coverage = 0.0;
     double lateFraction = 0.0;
 };
-
-SuiteSummary evaluateSuite(Runner &runner,
-                           const std::vector<WorkloadDef> &workloads,
-                           const PfSpec &pf);
 
 } // namespace gaze

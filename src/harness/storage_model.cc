@@ -1,6 +1,7 @@
 #include "harness/storage_model.hh"
 
 #include "core/gaze.hh"
+#include "harness/table.hh"
 #include "prefetchers/factory.hh"
 
 namespace gaze
@@ -79,6 +80,45 @@ evaluatedSchemeStorage()
         rows.push_back(std::move(s));
     }
     return rows;
+}
+
+std::string
+renderStorageTables()
+{
+    std::string out = "Table I: Gaze storage breakdown\n\n";
+    TextTable table1({"structure", "description", "bytes"});
+    double total = 0;
+    for (const auto &row : gazeStorageBreakdown()) {
+        table1.addRow({row.structure, row.description,
+                       TextTable::fmt(row.bits / 8.0, 1)});
+        total += row.kib();
+    }
+    out += table1.toString() + "\ntotal: " + TextTable::fmt(total, 2)
+           + "KB (paper: 4.46KB; 31x below Bingo, 0.54KB below PMP)\n\n";
+
+    // §III-E area/energy proxy: bits per pattern-history line. Gaze
+    // stores a 64b bit vector where PMP stores a 320b counter vector
+    // (plus a 160b coarse vector) — the source of its ~29% area and
+    // <46% access-energy figures.
+    TextTable proxy({"scheme", "pattern line width", "relative"});
+    proxy.addRow({"gaze PHT", "64b bit vector", "1.0x"});
+    proxy.addRow({"pmp OPT", "384b counter vector (64x6b)", "6.0x"});
+    out += "pattern-line width proxy (area/energy driver):\n"
+           + proxy.toString();
+
+    out += "\nTable IV: evaluated prefetcher configurations + "
+           "storage\n\n";
+    TextTable table4({"scheme", "configuration", "modeled", "paper"});
+    for (const auto &row : evaluatedSchemeStorage())
+        table4.addRow({row.scheme, row.configuration,
+                       TextTable::fmt(row.kib(), 2) + "KB",
+                       TextTable::fmt(row.paperKib, 2) + "KB"});
+    out += table4.toString()
+           + "\nnote: modeled figures count the structures this repo "
+             "implements field by field; the paper's figures follow "
+             "its own accounting (e.g. vBerti's latency bits live in "
+             "extended L1D lines).\n";
+    return out;
 }
 
 } // namespace gaze

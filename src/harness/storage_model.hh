@@ -4,6 +4,7 @@
  * Table IV (configuration and storage of every evaluated scheme).
  * Bits are computed from the paper's field lists; the tables also
  * carry the paper's published byte figures for comparison.
+ * gaze_campaign describe prints both after the registry.
  */
 
 #pragma once
@@ -40,5 +41,13 @@ struct SchemeStorage
 };
 
 std::vector<SchemeStorage> evaluatedSchemeStorage();
+
+/**
+ * Table I (Gaze's breakdown, its total and the §III-E pattern-line
+ * width proxy) and Table IV (every evaluated scheme, modeled and
+ * published) as aligned text: the storage view of gaze_campaign
+ * describe.
+ */
+std::string renderStorageTables();
 
 } // namespace gaze

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width text table used by every bench binary to print the
- * paper's figures/tables as aligned rows.
+ * Fixed-width text table: the aligned rows the CLIs, the bench
+ * binaries and the examples print.
  */
 
 #pragma once

@@ -11,6 +11,15 @@
  * `dram.busBusyCycles`, `engine.cycle`. Export order is always
  * name-sorted, so two runs (or two engines) produce byte-identical
  * documents for identical counter values.
+ *
+ * The obs subsystem (prefetch lifecycle attribution, this registry
+ * with the interval sampler, and the Chrome-trace exporter) is
+ * observation only, never perturbation: all architectural metrics
+ * are bitwise identical whether obs outputs are requested or not,
+ * across every engine and thread count (test_engine_diff asserts
+ * this). Its hooks in the simulator therefore only read simulator
+ * state or bump obs-private counters — never schedule work, touch
+ * queues, or force wake-ups.
  */
 
 #pragma once

@@ -187,7 +187,8 @@ BertiPrefetcher::storageBits() const
     return uint64_t(cfg.tableSets) * cfg.tableWays * entry_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(vberti)
+PrefetcherDescriptor
+vbertiDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "vberti";

@@ -101,7 +101,8 @@ BingoPrefetcher::storageBits() const
     return pht_bits + ft_bits + at_bits + pb_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(bingo)
+PrefetcherDescriptor
+bingoDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "bingo";

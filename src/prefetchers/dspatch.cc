@@ -99,7 +99,8 @@ DspatchPrefetcher::storageBits() const
     return spt_bits + page_buffer + pb_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(dspatch)
+PrefetcherDescriptor
+dspatchDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "dspatch";

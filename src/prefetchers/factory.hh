@@ -10,9 +10,8 @@
  * (prefetchers/registry.hh), and the authoritative, always-current
  * table is generated from those descriptors:
  *
- *   gaze_sim --list-prefetchers          # human-readable
- *   gaze_sim --list-prefetchers=json     # machine-readable
- *   gaze_campaign describe               # same table
+ *   gaze_campaign describe               # human-readable
+ *   gaze_campaign describe --json        # machine-readable
  *
  * Construction validates against the schema (unknown scheme/option,
  * malformed or out-of-range value: fatal) and canonicalizes the

@@ -72,7 +72,8 @@ IpStridePrefetcher::storageBits() const
     return uint64_t(cfg.sets) * cfg.ways * (12 + 30 + 7 + 2);
 }
 
-GAZE_REGISTER_PREFETCHER(ip_stride)
+PrefetcherDescriptor
+ipStrideDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "ip_stride";

@@ -178,7 +178,8 @@ IpcpPrefetcher::storageBits() const
     return ip_bits + cspt_bits + rst_bits + rr_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(ipcp)
+PrefetcherDescriptor
+ipcpDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "ipcp";

@@ -119,7 +119,8 @@ PmpPrefetcher::storageBits() const
     return opt_bits + ppt_bits + ft_bits + at_bits + pb_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(pmp)
+PrefetcherDescriptor
+pmpDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "pmp";

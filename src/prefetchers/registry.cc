@@ -15,43 +15,35 @@
 namespace gaze
 {
 
-// Force-link anchors. gaze_core is a static library and, with
-// construction routed through the registry, nothing references the
-// scheme translation units by symbol any more — without these externs
-// the linker would drop exactly the object files whose registrars
-// populate the registry. One anchor per GAZE_REGISTER_PREFETCHER
-// block; the registry constructor cross-checks the count so a scheme
-// registered without an anchor (or vice versa) dies loudly in every
-// test run instead of silently vanishing from some binaries.
-extern PrefetcherRegistrar gazePrefetcherRegistrar_gaze;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_sms;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_bingo;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_dspatch;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_pmp;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_ipcp;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_spp_ppf;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_spp;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_vberti;
-extern PrefetcherRegistrar gazePrefetcherRegistrar_ip_stride;
+// The scheme table. Each scheme defines its descriptor function next
+// to its implementation; naming every function here is also what keeps
+// each scheme's object file in the static-library link.
+PrefetcherDescriptor gazeDescriptor();
+PrefetcherDescriptor smsDescriptor();
+PrefetcherDescriptor bingoDescriptor();
+PrefetcherDescriptor dspatchDescriptor();
+PrefetcherDescriptor pmpDescriptor();
+PrefetcherDescriptor ipcpDescriptor();
+PrefetcherDescriptor sppPpfDescriptor();
+PrefetcherDescriptor sppDescriptor();
+PrefetcherDescriptor vbertiDescriptor();
+PrefetcherDescriptor ipStrideDescriptor();
 
 namespace
 {
 
-const PrefetcherRegistrar *const kSchemeAnchors[] = {
-    &gazePrefetcherRegistrar_gaze,
-    &gazePrefetcherRegistrar_sms,
-    &gazePrefetcherRegistrar_bingo,
-    &gazePrefetcherRegistrar_dspatch,
-    &gazePrefetcherRegistrar_pmp,
-    &gazePrefetcherRegistrar_ipcp,
-    &gazePrefetcherRegistrar_spp_ppf,
-    &gazePrefetcherRegistrar_spp,
-    &gazePrefetcherRegistrar_vberti,
-    &gazePrefetcherRegistrar_ip_stride,
+PrefetcherDescriptor (*const kSchemes[])() = {
+    gazeDescriptor,
+    smsDescriptor,
+    bingoDescriptor,
+    dspatchDescriptor,
+    pmpDescriptor,
+    ipcpDescriptor,
+    sppPpfDescriptor,
+    sppDescriptor,
+    vbertiDescriptor,
+    ipStrideDescriptor,
 };
-
-constexpr size_t kSchemeAnchorCount =
-    sizeof(kSchemeAnchors) / sizeof(kSchemeAnchors[0]);
 
 std::string
 joinNames(const std::vector<std::string> &names)
@@ -264,7 +256,7 @@ SpecOptions::str(const std::string &name) const
     return it == values->end() ? os.enumDefault : it->second;
 }
 
-// ----------------------------------------------- descriptor/registrar
+// --------------------------------------------------------- descriptor
 
 const OptionSchema *
 PrefetcherDescriptor::findOption(const std::string &option_name) const
@@ -275,28 +267,12 @@ PrefetcherDescriptor::findOption(const std::string &option_name) const
     return nullptr;
 }
 
-const PrefetcherRegistrar *&
-PrefetcherRegistrar::chain()
-{
-    static const PrefetcherRegistrar *head = nullptr;
-    return head;
-}
-
-PrefetcherRegistrar::PrefetcherRegistrar(DescriptorFn fn_) : fn(fn_)
-{
-    next = chain();
-    chain() = this;
-}
-
 // ----------------------------------------------------------- registry
 
 PrefetcherRegistry::PrefetcherRegistry()
 {
-    size_t chained = 0;
-    for (const PrefetcherRegistrar *r = PrefetcherRegistrar::chain();
-         r; r = r->next) {
-        ++chained;
-        auto desc = std::make_unique<PrefetcherDescriptor>(r->fn());
+    for (auto descriptorFn : kSchemes) {
+        auto desc = std::make_unique<PrefetcherDescriptor>(descriptorFn());
         GAZE_ASSERT(!desc->name.empty(),
                     "prefetcher descriptor without a name");
         GAZE_ASSERT(desc->build != nullptr, "prefetcher '", desc->name,
@@ -335,25 +311,6 @@ PrefetcherRegistry::PrefetcherRegistry()
         }
         descriptors.push_back(std::move(desc));
     }
-    // Walking the anchor array here is what forces the compiler to
-    // emit it (and its relocations): a merely-declared const array in
-    // an anonymous namespace would be discarded as unused, no scheme
-    // object file would be pulled into the link, and the chain would
-    // be empty.
-    for (const PrefetcherRegistrar *anchor : kSchemeAnchors) {
-        bool found = false;
-        for (const PrefetcherRegistrar *r =
-                 PrefetcherRegistrar::chain();
-             r; r = r->next)
-            found = found || r == anchor;
-        GAZE_ASSERT(found,
-                    "anchored prefetcher registrar missing from the "
-                    "chain (static-init did not run?)");
-    }
-    GAZE_ASSERT(chained == kSchemeAnchorCount,
-                "prefetcher registrar chain has ", chained,
-                " entries but registry.cc anchors ", kSchemeAnchorCount,
-                " — register the scheme AND anchor it");
 }
 
 const PrefetcherRegistry &
@@ -415,7 +372,7 @@ resolvePrefetcherSpec(const std::string &spec_text, CanonicalSpec *out,
         return failWith(error, "unknown prefetcher '", name,
                         "' in spec '", spec_text, "' (known: ",
                         joinNames(registeredNames()),
-                        "; see gaze_sim --list-prefetchers)");
+                        "; see gaze_campaign describe)");
     canon.desc = desc;
 
     // Seen-keys are tracked separately from canon.options: a

@@ -1,13 +1,15 @@
 /**
  * @file
- * Self-registering prefetcher registry with typed option schemas.
+ * The prefetcher registry: one table of scheme descriptors with typed
+ * option schemas.
  *
  * Every scheme declares a PrefetcherDescriptor — canonical name,
  * aliases, a one-line doc string, the full option schema (each option
  * typed as flag / uint-with-range / enum-of-strings with a default
- * and its own doc line), and a build function — and registers it from
- * its own translation unit via GAZE_REGISTER_PREFETCHER. Everything
- * downstream is derived from the descriptors:
+ * and its own doc line), and a build function — in a plain
+ * `PrefetcherDescriptor xDescriptor()` function next to its
+ * implementation, and registry.cc lists those functions in one array.
+ * Everything downstream is derived from the descriptors:
  *
  *  - resolution (resolvePrefetcherSpec) parses a
  *    "name[:option[=value]]*" spec and validates it against the schema
@@ -21,10 +23,9 @@
  *    sorted by name, values normalized, schema defaults elided — so
  *    equivalent spellings share baseline-memo and campaign-cache
  *    entries (harness/cell_key hashes canonical text only);
- *  - introspection (gaze_sim --list-prefetchers[=json], gaze_campaign
- *    describe) renders the scheme/option/type/default/doc table
- *    straight from the registry, so CLI help and README can never
- *    drift from the code.
+ *  - introspection (gaze_campaign describe [--json]) renders the
+ *    scheme/option/type/default/doc table straight from the registry,
+ *    so CLI help and README can never drift from the code.
  *
  * Build functions see options only through SpecOptions, which serves
  * the schema default for anything the spec did not say — a canonical
@@ -54,7 +55,7 @@ enum class OptionType
     Enum  ///< one of a declared string set ("sms:scheme=offset")
 };
 
-/** "flag" / "uint" / "enum" (the --list-prefetchers type column). */
+/** "flag" / "uint" / "enum" (the describe type column). */
 const char *optionTypeName(OptionType type);
 
 /** Declaration of one option: name, type, constraints, default, doc. */
@@ -62,7 +63,7 @@ struct OptionSchema
 {
     std::string name;
     OptionType type = OptionType::Flag;
-    std::string doc; ///< one-line help, rendered by --list-prefetchers
+    std::string doc; ///< one-line help, rendered by describe
 
     /** Uint constraints and default (ignored for other types). */
     uint64_t min = 0;
@@ -145,34 +146,12 @@ struct PrefetcherDescriptor
 };
 
 /**
- * One registered scheme. Define with GAZE_REGISTER_PREFETCHER in the
- * scheme's .cc file; the constructor links the registrar into a
- * global chain that PrefetcherRegistry materializes on first use (no
- * static-initialization-order dependence: descriptors are built
- * lazily, inside instance()).
- */
-class PrefetcherRegistrar
-{
-  public:
-    using DescriptorFn = PrefetcherDescriptor (*)();
-
-    explicit PrefetcherRegistrar(DescriptorFn fn);
-
-  private:
-    friend class PrefetcherRegistry;
-
-    DescriptorFn fn;
-    const PrefetcherRegistrar *next;
-
-    static const PrefetcherRegistrar *&chain();
-};
-
-/**
- * The process-wide scheme table, built from the registrar chain on
- * first use. Registration problems — duplicate names or aliases,
- * enum defaults outside the value set, uint defaults outside the
- * declared range — are panics: they are bugs in a scheme's
- * GAZE_REGISTER_PREFETCHER block, not user configuration errors.
+ * The process-wide scheme table, built on first use from the
+ * descriptor functions registry.cc lists. Descriptor problems —
+ * duplicate names or aliases, enum defaults outside the value set,
+ * uint defaults outside the declared range — are panics: they are
+ * bugs in a scheme's descriptor function, not user configuration
+ * errors.
  */
 class PrefetcherRegistry
 {
@@ -243,29 +222,3 @@ std::string canonicalPrefetcherSpec(const std::string &spec_text);
 std::string renderPrefetcherList(bool json);
 
 } // namespace gaze
-
-/**
- * Register a scheme: expands to a descriptor-factory definition whose
- * body follows the macro, plus an externally-visible registrar whose
- * constructor chains it. Use at namespace gaze scope:
- *
- *   GAZE_REGISTER_PREFETCHER(gaze)
- *   {
- *       PrefetcherDescriptor d;
- *       d.name = "gaze";
- *       ...
- *       return d;
- *   }
- *
- * The registrar deliberately has external linkage: gaze_core is a
- * static library, and registry.cc anchors each registrar by name so
- * the linker cannot drop a scheme's object file (nothing else
- * references scheme translation units once construction goes through
- * the registry).
- */
-#define GAZE_REGISTER_PREFETCHER(ident) \
-    static ::gaze::PrefetcherDescriptor \
-        gazePrefetcherDescriptor_##ident(); \
-    ::gaze::PrefetcherRegistrar gazePrefetcherRegistrar_##ident( \
-        &gazePrefetcherDescriptor_##ident); \
-    static ::gaze::PrefetcherDescriptor gazePrefetcherDescriptor_##ident()

@@ -84,7 +84,8 @@ SmsPrefetcher::storageBits() const
     return pht_bits + ft_bits + at_bits + pb_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(sms)
+PrefetcherDescriptor
+smsDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "sms";

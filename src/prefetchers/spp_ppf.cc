@@ -200,7 +200,8 @@ SppPpfPrefetcher::storageBits() const
     return st_bits + pt_bits + ppf_bits;
 }
 
-GAZE_REGISTER_PREFETCHER(spp_ppf)
+PrefetcherDescriptor
+sppPpfDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "spp_ppf";
@@ -212,7 +213,8 @@ GAZE_REGISTER_PREFETCHER(spp_ppf)
     return d;
 }
 
-GAZE_REGISTER_PREFETCHER(spp)
+PrefetcherDescriptor
+sppDescriptor()
 {
     PrefetcherDescriptor d;
     d.name = "spp";

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/obs.hh"
 #include "sim/vmem.hh"
 
 namespace gaze
@@ -158,7 +157,8 @@ Cache::issuePrefetch(Addr addr, uint32_t fill_level, bool virt,
     }
     prefetchQ.push_back(r);
     ++stat.pfIssued;
-    GAZE_OBS_HOOK(if (r.pfScheme) ++schemeSlot(r.pfScheme).issued;);
+    if (r.pfScheme)
+        ++schemeSlot(r.pfScheme).issued;
     // Covers prefetchers driven from outside this cache's tick (unit
     // tests poking onAccess by hand); from inside a tick this is a
     // no-op — the end-of-tick wake hint sees the non-empty PQ.
@@ -229,9 +229,8 @@ Cache::missToMshr(Request &req)
                 ++stat.pfLate;
                 (req.type == AccessType::Load ? stat.loadMissLate
                                               : stat.rfoMissLate)++;
-                GAZE_OBS_HOOK(
-                    if (e->downstream.pfScheme)
-                        ++schemeSlot(e->downstream.pfScheme).late;);
+                if (e->downstream.pfScheme)
+                    ++schemeSlot(e->downstream.pfScheme).late;
             }
             e->demanded = true;
             // A demand upgrade pulls the fill all the way in.
@@ -275,12 +274,12 @@ Cache::handleRead(Request &req)
         lru.touch(set, way);
         if (tagArr[slot] & kBlkPrefetch) {
             ++stat.pfUseful;
-            GAZE_OBS_HOOK(if (meta[slot].pfScheme) {
+            if (meta[slot].pfScheme) {
                 SchemeStats &ss = schemeSlot(meta[slot].pfScheme);
                 ++ss.useful;
                 ss.fillToUseSum += now() - meta[slot].fillCycle;
                 ++ss.fillToUseCnt;
-            });
+            }
             tagArr[slot] &= ~kBlkPrefetch;
         }
         if (req.type == AccessType::Rfo)
@@ -461,9 +460,8 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
         evicted = old & ~kBlkFlags;
         if (old & kBlkPrefetch) {
             ++stat.pfUseless;
-            GAZE_OBS_HOOK(
-                if (meta[slot].pfScheme)
-                    ++schemeSlot(meta[slot].pfScheme).useless;);
+            if (meta[slot].pfScheme)
+                ++schemeSlot(meta[slot].pfScheme).useless;
         }
         if (old & kBlkDirty) {
             Request wb;
@@ -498,8 +496,8 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
 
     if (mark_prefetch) {
         ++stat.pfFilled;
-        GAZE_OBS_HOOK(
-            if (req.pfScheme) ++schemeSlot(req.pfScheme).filled;);
+        if (req.pfScheme)
+            ++schemeSlot(req.pfScheme).filled;
     }
 
     if (pf && req.type != AccessType::Writeback) {

@@ -128,8 +128,7 @@ struct CacheStats
 /**
  * Obs attribution: lifecycle counters for one prefetching scheme at
  * one cache (indexed by the System-assigned scheme id). Pure
- * additions next to the aggregate CacheStats counters; compiled-out
- * hooks when GAZE_OBS is off (the vectors stay empty).
+ * additions next to the aggregate CacheStats counters.
  */
 struct SchemeStats
 {

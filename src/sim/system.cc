@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
@@ -300,7 +299,8 @@ System::driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
             clock = std::max(clock, std::min(earliestWake(), cap));
         if (clock >= cap)
             return false;
-        GAZE_OBS_HOOK(if (obsSampler) obsSampler->advanceTo(clock););
+        if (obsSampler)
+            obsSampler->advanceTo(clock);
         tickAll();
         post();
     }
@@ -324,10 +324,10 @@ System::run(uint64_t instr_per_core)
         return true;
     };
 
-    [[maybe_unused]] Cycle runBegin = clock;
+    Cycle runBegin = clock;
     if (!driveLoop(cap, all_done, [] {}))
         GAZE_WARN("run() hit the cycle cap; simulation wedged?");
-    GAZE_OBS_HOOK(obsPhaseSpan("run", runBegin););
+    obsPhaseSpan("run", runBegin);
 }
 
 void
@@ -367,17 +367,15 @@ System::simulate(uint64_t instr_per_core)
                 out[c].instructions = cores[c]->retired() - base[c];
                 out[c].cycles = clock - start;
                 --remaining;
-                GAZE_OBS_HOOK(
-                    if (obsTrace && c < obsCoreTids.size())
-                        obsTrace->span(obs::kPidSim, obsCoreTids[c],
-                                       "core active", start,
-                                       clock - start););
+                if (obsTrace && c < obsCoreTids.size())
+                    obsTrace->span(obs::kPidSim, obsCoreTids[c],
+                                   "core active", start, clock - start);
             }
         }
     };
 
     driveLoop(cap, [&] { return remaining == 0; }, recordFinishers);
-    GAZE_OBS_HOOK(obsPhaseSpan("simulate", start););
+    obsPhaseSpan("simulate", start);
 
     if (remaining > 0)
         GAZE_WARN("simulate() hit the cycle cap with ", remaining,

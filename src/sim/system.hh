@@ -275,8 +275,7 @@ class System
     /** Every component's wake gate, in tickAll() order. */
     std::vector<const WakeGate *> gates;
 
-    // Obs attachment points (see src/obs/): null/empty when unused,
-    // and every hot-path touch point is compiled out with GAZE_OBS.
+    // Obs attachment points (see src/obs/): null/empty when unused.
     obs::IntervalSampler *obsSampler = nullptr;
     obs::TraceSink *obsTrace = nullptr;
     uint32_t obsEngineTid = 0;

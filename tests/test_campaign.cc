@@ -10,7 +10,8 @@
  * second run entirely from cache with a byte-identical report, and
  * two complementary shards must aggregate to the unsharded result;
  * and the suite rows, including the "all" row a multi-suite workload
- * axis adds to every group.
+ * axis adds to every group and the storage column of the stdout
+ * table.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -753,6 +755,37 @@ TEST(CampaignSuiteRows, MultiSuiteGroupsEndWithOneAllRow)
         computeCampaignMetrics(single, syntheticRecords(single));
     ASSERT_EQ(one.suites.size(), 1u);
     EXPECT_EQ(one.suites[0].suite, "spec06");
+}
+
+TEST(CampaignSuiteRows, TableEndsWithEachRowsStorage)
+{
+    // Only the stdout table carries storage: the report documents stay
+    // what the daemon and the offline pipeline compare byte for byte.
+    Campaign campaign = twoSuiteCampaign();
+    CampaignReport report =
+        buildReport(campaign, syntheticRecords(campaign), nullptr);
+    EXPECT_EQ(report.json.find("storage"), std::string::npos);
+    EXPECT_EQ(report.csv.find("storage"), std::string::npos);
+
+    CampaignSuiteRow row;
+    row.prefetcher = "gaze";
+    row.level = "l1";
+    row.suite = "spec06";
+    CampaignSuiteRow small = row;
+    small.prefetcher = "gaze:phtsets=8:region=512";
+
+    auto lastWord = [](const std::string &line) {
+        return line.substr(line.find_last_of(' ') + 1);
+    };
+    std::istringstream table(reportTable({row, small}));
+    std::string line;
+    std::getline(table, line);
+    EXPECT_EQ(lastWord(line), "storage");
+    std::getline(table, line); // the rule under the header
+    std::getline(table, line);
+    EXPECT_EQ(lastWord(line), "4.5KB");
+    std::getline(table, line);
+    EXPECT_EQ(lastWord(line), "1.4KB");
 }
 
 TEST(CampaignSuiteRows, CompareMatchesAllRowsByKey)

@@ -124,17 +124,6 @@ TEST(GazeSimCli, TraceDirRebindsWorkloads)
 
 // ---- gaze_sim: fatal error paths ------------------------------------
 
-TEST(GazeSimCli, ListPrefetchersShortCircuits)
-{
-    GazeSimOptions text = parseGazeSimArgs({"--list-prefetchers"});
-    EXPECT_EQ(text.listPrefetchers,
-              GazeSimOptions::ListPrefetchers::Text);
-    GazeSimOptions json =
-        parseGazeSimArgs({"--list-prefetchers=json"});
-    EXPECT_EQ(json.listPrefetchers,
-              GazeSimOptions::ListPrefetchers::Json);
-}
-
 TEST(GazeSimCli, PrefetchersCanonicalizeAndDedupe)
 {
     // Aliases resolve, options sort, defaults elide — and two
@@ -209,8 +198,6 @@ TEST(GazeSimCliDeath, BadPrefetcherSpec)
                  "unknown option 'typo'");
     EXPECT_DEATH(parseGazeSimArgs({"--prefetchers=gaze:n=abc"}),
                  "unsigned integer");
-    EXPECT_DEATH(parseGazeSimArgs({"--list-prefetchers=yaml"}),
-                 "--list-prefetchers takes no value or =json");
 }
 
 TEST(GazeSimCliDeath, BadNumbers)

@@ -23,7 +23,6 @@
 #include "common/rng.hh"
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
-#include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "workloads/suites.hh"
 
@@ -300,12 +299,10 @@ TEST(EngineDiff, ObservationOnMatchesObservationOffBitwise)
         RunResult on = runCase(d, kind, &sink, /*interval=*/512);
         expectBitIdentical(on, off, d.label + " " + name);
         EXPECT_TRUE(off.obsSamples.empty()) << name;
-#if GAZE_OBS_ON
         // The observed run must actually have observed something, or
         // the comparison above is vacuous.
         EXPECT_FALSE(on.obsSamples.empty()) << name;
         EXPECT_GT(sink.eventCount(), 0u) << name;
-#endif
     }
 }
 

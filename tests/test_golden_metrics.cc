@@ -25,7 +25,6 @@
 #include "driver/cli.hh"
 #include "driver/driver.hh"
 #include "harness/runner.hh"
-#include "obs/obs.hh"
 #include "tracing/trace_io.hh"
 #include "workloads/suites.hh"
 
@@ -196,7 +195,6 @@ TEST(GoldenMetrics, RecordedTracesPinResults)
     }
 }
 
-#if GAZE_OBS_ON
 // ---- per-scheme attribution pins (obs lifecycle tentpole) -----------
 
 struct SchemeGolden
@@ -277,7 +275,6 @@ TEST(GoldenMetrics, PerSchemeAttributionPinned)
                         (unsigned long long)r.c.useless);
     }
 }
-#endif // GAZE_OBS_ON
 
 // ---- multi-core mix pins, per engine --------------------------------
 

@@ -243,26 +243,6 @@ TEST(Runner, PfSpecLabels)
     EXPECT_TRUE(PfSpec{}.isNone());
 }
 
-TEST(Runner, SuiteSummaryAggregates)
-{
-    RunConfig cfg;
-    cfg.warmupInstr = 4000;
-    cfg.simInstr = 10000;
-    Runner runner(cfg);
-
-    std::vector<WorkloadDef> suite;
-    for (uint64_t s = 1; s <= 2; ++s)
-        suite.push_back({"s" + std::to_string(s), "test", [s] {
-                             StreamParams p;
-                             p.seed = s;
-                             p.records = 40000;
-                             return genStream(p);
-                         }});
-    SuiteSummary sum = evaluateSuite(runner, suite, PfSpec{"gaze"});
-    EXPECT_GT(sum.speedup, 0.9);
-    EXPECT_GE(sum.accuracy, 0.0);
-}
-
 // -------------------------------------------------------- trace store
 
 TEST(TraceStore, FourCoreCellAndItsBaselineGenerateOnce)

@@ -22,7 +22,6 @@
 #include "campaign/json.hh"
 #include "harness/metrics.hh"
 #include "harness/runner.hh"
-#include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
@@ -152,8 +151,6 @@ runObserved(EngineKind kind, uint64_t interval,
     pf.l1 = "gaze";
     return r.runMix(mix, pf);
 }
-
-#if GAZE_OBS_ON
 
 TEST(ObsTimeline, RowsLandOnExactIntervalMultiples)
 {
@@ -379,8 +376,6 @@ TEST(ObsAttribution, SummaryAndMetricsCarryTheBreakdown)
     if (sm.useful > 0)
         EXPECT_GT(sm.avgFillToUse, 0.0);
 }
-
-#endif // GAZE_OBS_ON
 
 } // namespace
 } // namespace gaze
