@@ -439,6 +439,7 @@ main(int argc, char **argv)
     j.field("warmup_instructions", RunConfig{}.effectiveWarmup());
     j.field("sim_instructions", RunConfig{}.effectiveSim());
     j.field("host_cpus", uint64_t(hostCpus));
+    writeBuildProvenance(j);
     j.key("cells").beginArray();
     for (const auto &c : cells) {
         j.beginObject();

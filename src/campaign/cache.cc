@@ -21,6 +21,13 @@ namespace
 {
 
 /**
+ * Largest record lookup() reads. A cell record is a few KB, so a
+ * larger file is corrupt, and a directory in a record's place sizes
+ * as 2^63 - 1 bytes; both read as a miss.
+ */
+constexpr std::streamoff kMaxRecordBytes = 1 << 20;
+
+/**
  * Read a non-negative integer member into @p out. False on a missing
  * or non-count value — like every other defect in a cell record,
  * that must read as a miss (recompute), never abort the campaign.
@@ -71,8 +78,19 @@ ResultCache::lookup(uint64_t hash, const std::string &key,
     if (!in)
         return false; // plain miss: not yet computed
 
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    // One sized read: a daemon answering repeat submissions reads a
+    // record per cell, so this is on its hot path. A file that cannot
+    // be sized or read in full leaves the text empty, which fails to
+    // parse below.
+    std::string text;
+    in.seekg(0, std::ios::end);
+    std::streamoff size = in.tellg();
+    in.seekg(0, std::ios::beg);
+    if (size > 0 && size <= kMaxRecordBytes) {
+        text.resize(static_cast<size_t>(size));
+        if (!in.read(text.data(), size))
+            text.clear();
+    }
 
     JsonValue doc;
     std::string error;

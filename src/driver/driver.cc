@@ -165,6 +165,7 @@ gazeSimJson(const GazeSimRun &run)
     // gaze-lint: allow(raw-thread): hardware_concurrency() query
     // only, no thread is created
     j.field("host_cpus", uint64_t(std::thread::hardware_concurrency()));
+    writeBuildProvenance(j);
     // Trace provenance: where the workload streams came from, so a
     // result document is reproducible on its own. trace_dir is null
     // for generator runs (traces regenerated from RNG state).

@@ -57,6 +57,11 @@ namespace gaze
  * switches modes), and events_dispatched counts ticks whose wake gate
  * was open, the same on both engines; v5 records carry the old counts
  * and must recompute.
+ *
+ * Still v6 after blocked caches began to sleep on their refusals:
+ * simulated results do not change, and events_dispatched,
+ * cycles_executed and cycles_skipped describe the run that computed a
+ * record, as its seconds do, so a cached v6 record stays valid.
  */
 constexpr uint32_t kCellSchemaVersion = 6;
 

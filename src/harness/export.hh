@@ -104,6 +104,15 @@ class JsonWriter
 void writeTextFile(const std::string &path, const std::string &text);
 
 /**
+ * Write this build's provenance into @p j's open object: "git_sha"
+ * (the revision the build was configured from, "unknown" outside a
+ * git checkout), "build_type" and "cxx_flags". Published numbers (the
+ * BENCH files, the daemon's status) carry it, so each can be traced
+ * to the code and flags that produced it.
+ */
+void writeBuildProvenance(JsonWriter &j);
+
+/**
  * A named JSON result document destined for "BENCH_<name>.json",
  * written to $GAZE_RESULTS_DIR (or to an explicit path via writeTo,
  * which the gaze_sim --out flag uses).

@@ -94,7 +94,8 @@ Runner::execute(const std::vector<WorkloadDef> &mix, const PfSpec &pf)
     }
     auto cores = sys.simulate(cfg.effectiveSim());
     if (sampler) {
-        sampler->finish(sys.cycle());
+        sampler->finish(sys.cycle(),
+                        [&sys](Cycle b) { sys.settleCounters(b); });
         sys.setObsSampler(nullptr);
     }
     RunResult result = collectResult(sys, std::move(cores));

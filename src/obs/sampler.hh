@@ -9,12 +9,13 @@
  * immediately before executing cycle c. Every still-pending boundary
  * b < c lies in a stretch where no cycle after the previously
  * executed one has run — those cycles were idle (skipped or simply
- * not yet reached) — so the counter state *at* b is exactly the
- * current counter state, and the sampler can emit b's row late
- * without ever forcing the engine to wake at b. This is the same
- * lazy-catch-up argument Core::catchUpStallCounters uses, which is
- * why sampler-on runs are bitwise identical to sampler-off runs on
- * every engine (test_engine_diff / test_obs assert it).
+ * not yet reached) — so the counter state *at* b is the current
+ * counter state once the counters components accrue lazily over
+ * skipped cycles are settled through b, which the engine's settle
+ * hook does before each row. The sampler can therefore emit b's row
+ * late without ever forcing the engine to wake at b, and sampler-on
+ * runs are bitwise identical to sampler-off runs on every engine
+ * (test_engine_diff / test_obs assert it).
  */
 
 #pragma once
@@ -77,22 +78,33 @@ class IntervalSampler
 
     /**
      * The engine is about to execute cycle @p cycle: emit every
-     * pending boundary strictly before it.
+     * pending boundary strictly before it, calling @p settle(b) before
+     * boundary b's row is read.
      */
+    template <typename SettleFn>
     void
-    advanceTo(Cycle cycle)
+    advanceTo(Cycle cycle, SettleFn &&settle)
     {
-        while (nextBoundary < cycle)
+        while (nextBoundary < cycle) {
+            settle(nextBoundary);
             emitBoundary();
+        }
     }
 
+    void advanceTo(Cycle cycle) { advanceTo(cycle, [](Cycle) {}); }
+
     /** Run ended with the clock at @p final_cycle: flush boundaries. */
+    template <typename SettleFn>
     void
-    finish(Cycle final_cycle)
+    finish(Cycle final_cycle, SettleFn &&settle)
     {
-        while (nextBoundary <= final_cycle)
+        while (nextBoundary <= final_cycle) {
+            settle(nextBoundary);
             emitBoundary();
+        }
     }
+
+    void finish(Cycle final_cycle) { finish(final_cycle, [](Cycle) {}); }
 
     const SampleSeries &series() const { return out; }
     SampleSeries takeSeries() { return std::move(out); }

@@ -323,6 +323,7 @@ Service::statusJsonLocked()
     j.field("dedup_hits", ctr.dedupHits);
     j.field("queued", sched->inFlight());
     j.field("draining", draining);
+    writeBuildProvenance(j);
     // The process-wide trace store: a fresh spec on a workload the
     // daemon has already generated reuses the resident records.
     TraceStoreStats traces = traceStore().stats();

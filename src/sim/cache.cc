@@ -10,7 +10,9 @@ namespace gaze
 
 Cache::Cache(const CacheParams &params, MemoryDevice *lower_dev,
              const Cycle *clock_ptr, RequestPool *pool_ptr)
-    : cfg(params), lower(lower_dev), clock(clock_ptr), pool(pool_ptr),
+    : cfg(params), lower(lower_dev),
+      lowerCache(dynamic_cast<Cache *>(lower_dev)), clock(clock_ptr),
+      pool(pool_ptr),
       tagArr(size_t(params.sets) * params.ways, 0),
       meta(size_t(params.sets) * params.ways),
       lru(params.sets, params.ways),
@@ -27,6 +29,16 @@ Cache::Cache(const CacheParams &params, MemoryDevice *lower_dev,
         ownedPool = std::make_unique<RequestPool>();
         pool = ownedPool.get();
     }
+    if (lowerCache)
+        lowerCache->addSender(&gate, this);
+}
+
+void
+Cache::addSender(WakeGate *sender_gate, Cache *sender_cache)
+{
+    senderGates.push_back(sender_gate);
+    if (sender_cache)
+        senderCaches.push_back(sender_cache);
 }
 
 Cache::~Cache()
@@ -91,8 +103,10 @@ Cache::sendRequest(const Request &req)
     switch (r.type) {
       case AccessType::Load:
       case AccessType::Rfo:
-        if (readQ.size() >= cfg.rqSize)
+        if (readQ.size() >= cfg.rqSize) {
+            rqRefused = true;
             return false;
+        }
         readQ.push_back(r);
         gate.requestWake(now());
         return true;
@@ -107,6 +121,7 @@ Cache::sendRequest(const Request &req)
       case AccessType::Prefetch:
         if (prefetchQ.size() >= cfg.pqSize) {
             ++stat.pfDroppedFull;
+            pqRefused = true;
             return false;
         }
         prefetchQ.push_back(r);
@@ -253,9 +268,11 @@ Cache::missToMshr(Request &req)
     e.wasPrefetchOnly = !req.isDemand();
     e.allocCycle = now();
     appendWaiter(e, req);
-    e.issuedToLower = lower->sendRequest(e.downstream);
-    if (!e.issuedToLower)
+    e.issuedToLower = sendLower(e.downstream);
+    if (!e.issuedToLower) {
         ++unissuedMshrs;
+        pollNext = true; // the retry set changed: retry it next cycle
+    }
     return true;
 }
 
@@ -292,8 +309,9 @@ Cache::handleRead(Request &req)
     }
 
     if (!missToMshr(req)) {
-        // Retry next cycle; count the access only when it proceeds so
-        // the prefetcher is not double-trained on stalls.
+        // Retry once a fill frees an MSHR; count the access only when
+        // it proceeds so the prefetcher is not double-trained on
+        // stalls.
         ++stat.mshrFullStall;
         return false;
     }
@@ -326,8 +344,7 @@ Cache::handlePrefetch(Request &req)
     if (req.fillLevel > cfg.level) {
         // Targeted at a lower level: pass it down untouched. The lower
         // cache adopts it as its own prefetch request.
-        return lower->sendRequest(req) ? PfOutcome::Done
-                                       : PfOutcome::Retry;
+        return sendLower(req) ? PfOutcome::Done : PfOutcome::Refused;
     }
 
     size_t slot = lookupSlot(req.paddr);
@@ -357,7 +374,7 @@ Cache::handlePrefetch(Request &req)
     if (mshr.full()) {
         ++stat.pfMshrWait;
         if (req.requester)
-            return PfOutcome::Retry; // dropping would leak upper MSHR
+            return PfOutcome::MshrWait; // dropping would leak upper MSHR
         if (cfg.level == levelL1) {
             // The L1 PQ holds mixed fill levels; a waiting L1-fill
             // head would starve L2-targeted prefetches behind it.
@@ -366,17 +383,19 @@ Cache::handlePrefetch(Request &req)
             // benefit, none of the clog).
             Request demoted = req;
             demoted.fillLevel = cfg.level + 1;
-            if (!lower->sendRequest(demoted))
-                return PfOutcome::Retry;
+            if (!sendLower(demoted))
+                return PfOutcome::MshrWait;
             ++stat.pfDemoted;
             return PfOutcome::Done;
         }
         // L2/LLC PQs are homogeneous (everything targets this level
         // or beyond), so waiting at the head starves nothing, and the
         // fetch keeps its slot until an MSHR frees.
-        return PfOutcome::Retry;
+        return PfOutcome::MshrWait;
     }
-    return missToMshr(req) ? PfOutcome::Done : PfOutcome::Retry;
+    // The MSHR file has room, so the miss always allocates.
+    missToMshr(req);
+    return PfOutcome::Done;
 }
 
 void
@@ -384,9 +403,20 @@ Cache::tick()
 {
     // Wake gate (see sim/wake_gate.hh): skip cycles where the last
     // tick's nextWakeCycle() proved (and no wake since lowered the bar)
-    // that ticking can have no effect.
+    // that ticking can have no effect but to repeat its refusals,
+    // which settle() counts here.
     if (!gate.due(now()))
         return;
+    settle(now());
+
+    // Each loop below records how it ended. One that stopped on a
+    // refusal (a full MSHR file, a lower level's full queue, the PQ
+    // refusing the prefetcher) repeats it every cycle until a fill, a
+    // new request or the lower level's freed slot wakes this cache,
+    // so the cache sleeps and stallRate is what each skipped tick
+    // would have counted. Anything else sets pollNext.
+    stallRate = StallRate{};
+    pollNext = false;
 
     deliverResponses();
     retryUnissuedMshrs();
@@ -394,11 +424,15 @@ Cache::tick()
     uint32_t ops = 0;
 
     // Demand reads take priority for tag bandwidth.
+    bool read_blocked = false;
     while (ops < kTagPorts && !readQ.empty()) {
         Request req = readQ.front();
-        if (!handleRead(req))
-            break; // MSHR full: head-of-line stall
-        readQ.pop_front();
+        if (!handleRead(req)) {
+            read_blocked = true; // head-of-line stall
+            stallRate.mshrFullStall = 1;
+            break;
+        }
+        popHead(readQ, rqRefused);
         ++ops;
     }
 
@@ -407,19 +441,44 @@ Cache::tick()
         Request req = writeQ.front();
         writeQ.pop_front();
         handleWrite(req);
+        // Its fill can turn the refused read head into a hit. (The PQ
+        // loop and the prefetcher below already see it.)
+        if (read_blocked)
+            pollNext = true;
     }
 
+    bool pq_blocked = false;
     while (ops < kTagPorts && !prefetchQ.empty()) {
         Request req = prefetchQ.front();
-        if (handlePrefetch(req) == PfOutcome::Retry)
-            break; // blocked: retry next cycle
-        prefetchQ.pop_front();
+        PfOutcome out = handlePrefetch(req);
+        if (out != PfOutcome::Done) {
+            pq_blocked = true;
+            stallRate.pfMshrWait = out == PfOutcome::MshrWait;
+            break;
+        }
+        popHead(prefetchQ, pqRefused);
         ++ops;
     }
 
-    if (pf)
+    if (pf) {
+        // A busy prefetcher sleeps only on a drain the full PQ refused
+        // behind a blocked head, so the queue cannot change (see
+        // Prefetcher::tick()).
+        uint64_t dropped = stat.pfDroppedFull;
         pf->tick();
+        stallRate.pfDroppedFull =
+            static_cast<uint32_t>(stat.pfDroppedFull - dropped);
+        if (pf->busy() && !(pq_blocked && stallRate.pfDroppedFull > 0))
+            pollNext = true;
+    }
 
+    // A queue whose loop ran out of tag ports, or that the prefetcher
+    // refilled after its loop, has work for the next cycle.
+    if ((!readQ.empty() && !read_blocked)
+        || (!prefetchQ.empty() && !pq_blocked))
+        pollNext = true;
+
+    settleFrom = now() + 1;
     gate.tickDone(nextWakeCycle());
 }
 
@@ -435,11 +494,61 @@ Cache::retryUnissuedMshrs()
     mshr.forEachInOrder([&](Addr, MshrEntry &e) {
         if (e.issuedToLower)
             return true;
-        e.issuedToLower = lower->sendRequest(e.downstream);
-        if (e.issuedToLower)
+        e.issuedToLower = sendLower(e.downstream);
+        if (e.issuedToLower) {
             --unissuedMshrs;
+            pollNext = true; // the retry set changed
+        }
         return --budget != 0;
     });
+}
+
+bool
+Cache::sendLower(const Request &req)
+{
+    if (lower->sendRequest(req))
+        return true;
+    if (!lowerCache)
+        pollNext = true; // DRAM never wakes its senders: retry each cycle
+    else if (req.type == AccessType::Prefetch)
+        ++stallRate.lowerPfDroppedFull; // the lower counted pfDroppedFull
+    return false;
+}
+
+void
+Cache::popHead(RingBuffer<Request> &q, bool &refused)
+{
+    q.pop_front();
+    if (!refused)
+        return;
+    // The queue was full and refused a sender, so this frees the slot
+    // it waits for. Senders tick before this cache, so they retry at
+    // the next cycle, exactly when an ungated sender would have.
+    refused = false;
+    for (WakeGate *g : senderGates)
+        g->requestWake(now() + 1);
+}
+
+void
+Cache::settle(Cycle until)
+{
+    if (until <= settleFrom)
+        return;
+    uint64_t n = until - settleFrom;
+    settleFrom = until;
+    stat.mshrFullStall += n * stallRate.mshrFullStall;
+    stat.pfMshrWait += n * stallRate.pfMshrWait;
+    stat.pfDroppedFull += n * stallRate.pfDroppedFull;
+    if (lowerCache)
+        lowerCache->stat.pfDroppedFull += n * stallRate.lowerPfDroppedFull;
+}
+
+void
+Cache::settleWithSenders(Cycle until)
+{
+    for (Cache *c : senderCaches)
+        c->settle(until);
+    settle(until);
 }
 
 void
@@ -564,16 +673,13 @@ Cache::recvFill(const Request &req)
 Cycle
 Cache::nextWakeCycle() const
 {
-    // Anything queued (or retryable) makes the very next cycle
+    // Work the last tick could advance makes the very next cycle
     // potentially productive: an ungated tick would process it then,
-    // so the gate must open then too.
-    if (!readQ.empty() || !writeQ.empty() || !prefetchQ.empty())
+    // so the gate must open then too. Work it left on a refusal waits
+    // for the wake-up that lifts the refusal (see tick()).
+    if (pollNext || !writeQ.empty())
         return now() + 1;
-    if (unissuedMshrs > 0)
-        return now() + 1;
-    if (pf && pf->busy())
-        return now() + 1;
-    // Quiet queues: the only self-known work is delivering already
+    // Otherwise the only self-known work is delivering already
     // scheduled responses (all strictly in the future here, since
     // tick() drained everything due); the earlier FIFO head is next.
     Cycle wake = kNeverWake;

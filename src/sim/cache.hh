@@ -209,14 +209,45 @@ class Cache final : public MemoryDevice, public FillReceiver
 
     /**
      * Earliest future cycle at which tick() could have any effect:
-     * next cycle while any queue, unissued MSHR, or prefetcher work
-     * is pending; the next response-ready cycle otherwise; kNeverWake
-     * when only a lower-level fill can create work.
+     * next cycle while the last tick left work that could progress
+     * (see tick()); the next response-ready cycle otherwise;
+     * kNeverWake when only a fill, a new request or a lower level's
+     * freed slot can create work.
      */
     Cycle nextWakeCycle() const;
 
     const CacheParams &params() const { return cfg; }
-    const CacheStats &stats() const { return stat; }
+
+    /**
+     * Counters, settled: the refusals of ticks the wake gate skipped,
+     * this cache's own and those its sleeping sender caches would have
+     * caused here, are counted through the previous cycle first, which
+     * is what ungated ticks would have shown.
+     */
+    const CacheStats &
+    stats() const
+    {
+        const_cast<Cache *>(this)->settleWithSenders(now());
+        return stat;
+    }
+
+    /**
+     * Count the refusals the ticks skipped before cycle @p until would
+     * have repeated: this cache's mshrFullStall, pfMshrWait and
+     * pfDroppedFull, and the lower cache's pfDroppedFull for refused
+     * prefetch sends. Exact, because a cache sleeps on refusals only
+     * while its state is frozen until a wake-up (see tick()).
+     */
+    void settle(Cycle until);
+
+    /**
+     * Register an upper component that sends here; each sender's
+     * constructor calls this. @p gate is woken at now + 1 when a full
+     * read or prefetch queue frees a slot after refusing a request,
+     * and @p cache (null for a core) is settled before this cache's
+     * counters are read or reset.
+     */
+    void addSender(WakeGate *gate, Cache *cache);
 
     /** Per-scheme lifecycle counters, indexed by scheme id (0 unused). */
     const std::vector<SchemeStats> &schemeStats() const
@@ -224,9 +255,15 @@ class Cache final : public MemoryDevice, public FillReceiver
         return schemeStat;
     }
 
+    /**
+     * Zero the counters. Skipped refusals are settled first, so none
+     * from before the reset is counted after it, and those a sleeping
+     * sender caused here land before the zeroing.
+     */
     void
     resetStats()
     {
+        settleWithSenders(now());
         stat.reset();
         for (auto &s : schemeStat)
             s = SchemeStats{};
@@ -320,8 +357,9 @@ class Cache final : public MemoryDevice, public FillReceiver
     /** Outcome of processing the PQ head. */
     enum class PfOutcome
     {
-        Done, ///< consumed (issued, merged, dropped, or forwarded)
-        Retry ///< blocked at the head; retry next cycle
+        Done,     ///< consumed (issued, merged, dropped, or forwarded)
+        Refused,  ///< the lower level refused it; retry next cycle
+        MshrWait  ///< waits for an MSHR (pfMshrWait counted); retry
     };
 
     bool handleRead(Request &req);
@@ -333,6 +371,18 @@ class Cache final : public MemoryDevice, public FillReceiver
 
     void retryUnissuedMshrs();
 
+    /**
+     * Send @p req to the lower level (not writebacks, which are never
+     * refused), recording a refusal for the wake hint and the replay.
+     */
+    bool sendLower(const Request &req);
+
+    /** Pop the head of @p q, waking the senders if it had refused any. */
+    void popHead(RingBuffer<Request> &q, bool &refused);
+
+    /** Settle every sender cache, then this one (stats, resetStats). */
+    void settleWithSenders(Cycle until);
+
     void notifyPrefetcherAccess(const Request &req, bool hit);
 
     /** Append @p req to @p e's pooled waiter list. */
@@ -340,9 +390,40 @@ class Cache final : public MemoryDevice, public FillReceiver
 
     CacheParams cfg;
     MemoryDevice *lower;
+    /** The lower level when it is a cache, which wakes this one. */
+    Cache *lowerCache;
     const Cycle *clock;
 
     WakeGate gate;
+
+    /** Registered senders (see addSender), in registration order. */
+    std::vector<WakeGate *> senderGates;
+    std::vector<Cache *> senderCaches;
+
+    /** A full RQ / PQ refused a sender since its last pop. */
+    bool rqRefused = false;
+    bool pqRefused = false;
+
+    /**
+     * What each tick skipped since the last one would count: the
+     * refusals that ended the last tick, which a sleeping cache
+     * repeats unchanged until something wakes it.
+     */
+    struct StallRate
+    {
+        uint32_t mshrFullStall = 0;
+        uint32_t pfMshrWait = 0;
+        uint32_t pfDroppedFull = 0;
+        uint32_t lowerPfDroppedFull = 0; ///< refused prefetch sends
+    };
+    StallRate stallRate;
+
+    /** The last tick left work that can progress without a wake-up. */
+    bool pollNext = false;
+
+    /** First cycle neither a tick nor settle() has counted. */
+    Cycle settleFrom = 0;
+
     RequestPool *pool;
     std::unique_ptr<RequestPool> ownedPool;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "sim/cache.hh"
 #include "sim/vmem.hh"
 
 namespace gaze
@@ -13,6 +14,10 @@ Core::Core(const CoreParams &params, uint32_t cpu_id, MemoryDevice *l1,
     : cfg(params), cpu(cpu_id), l1d(l1), vmem(vm), clock(clock_ptr)
 {
     GAZE_ASSERT(l1d && vmem && clock, "core wiring incomplete");
+    if (auto *cache = dynamic_cast<Cache *>(l1d)) {
+        cache->addSender(&gate, nullptr);
+        l1dWakes = true;
+    }
 }
 
 void
@@ -173,23 +178,25 @@ Core::dispatch()
 }
 
 void
-Core::catchUpStallCounters()
+Core::settle(Cycle until)
 {
-    Cycle t = now();
-    if (t <= lastTickCycle + 1 || !trace)
+    if (until <= settleFrom)
         return; // no cycle skipped since the last tick
+    Cycle from = settleFrom;
+    settleFrom = until;
+    if (!trace)
+        return;
 
-    // Skipped cycles u in [lastTickCycle+1, t-1]: the polled engine
-    // would have run dispatch() on each with unchanged state, landing
-    // in the frontend-stall branch while u < frontendStallUntil and
-    // in the ROB-full branch otherwise (a sleeping core has no third
-    // option: anything else would have made progress).
-    uint64_t skipped = t - lastTickCycle - 1;
+    // Skipped cycles u in [from, until): an ungated tick would have
+    // run dispatch() on each with unchanged state, landing in the
+    // frontend-stall branch while u < frontendStallUntil and in the
+    // ROB-full branch otherwise (a sleeping core has no third option:
+    // anything else would have made progress). Its refused L1D sends
+    // count nothing.
+    uint64_t skipped = until - from;
     uint64_t stalled = 0;
-    if (frontendStallUntil > lastTickCycle + 1) {
-        Cycle end = std::min(t, frontendStallUntil);
-        stalled = end - (lastTickCycle + 1);
-    }
+    if (frontendStallUntil > from)
+        stalled = std::min(until, frontendStallUntil) - from;
     stat.frontendStallCycles += stalled;
     if (rob.size() >= cfg.robSize)
         stat.robFullCycles += skipped - stalled;
@@ -199,17 +206,17 @@ void
 Core::tick()
 {
     // Wake gate (see sim/wake_gate.hh): skip cycles proven unproductive
-    // by the last tick's nextWakeCycle(). catchUpStallCounters()
-    // keeps the per-cycle stall counters exact across the skips.
+    // by the last tick's nextWakeCycle(). settle() keeps the per-cycle
+    // stall counters exact across the skips.
     if (!gate.due(now()))
         return;
 
-    catchUpStallCounters();
+    settle(now());
     issueBlockedOnL1d = false;
     retire();
     issueLoads();
     dispatch();
-    lastTickCycle = now();
+    settleFrom = now() + 1;
     gate.tickDone(nextWakeCycle());
 }
 
@@ -219,9 +226,12 @@ Core::nextWakeCycle() const
     Cycle wake = kNeverWake;
     auto consider = [&wake](Cycle c) { wake = std::min(wake, c); };
 
-    // A rejected L1D send retries next cycle: the queue drains on the
-    // cache's own clock and nothing calls back when space frees.
-    if (issueBlockedOnL1d)
+    // A rejected L1D send means its read queue is full until the L1D
+    // pops it, and the L1D wakes the core then; every send until that
+    // wake-up would be refused too. An L1D that cannot wake the core
+    // (a test double) is polled.
+    bool l1d_full = issueBlockedOnL1d;
+    if (l1d_full && !l1dWakes)
         consider(now() + 1);
 
     if (!rob.empty()) {
@@ -229,17 +239,18 @@ Core::nextWakeCycle() const
         if (head.op == TraceOp::Store) {
             // (Stores carry done=true from dispatch, so this case
             // must come first.) Store retirement depends on L1D
-            // acceptance, which the core cannot observe: poll. With
+            // acceptance: try next cycle unless the L1D is full. With
             // the SQ full it instead waits for a store completion,
             // which wakes the core.
-            if (sqOccupancy < cfg.sqSize)
+            if (sqOccupancy < cfg.sqSize && !l1d_full)
                 consider(now() + 1);
         } else if (head.done) {
             consider(now() + 1); // retirement can proceed
         }
     }
 
-    if (!pendingLoadOffsets.empty() && lqOccupancy < cfg.lqSize) {
+    if (!pendingLoadOffsets.empty() && lqOccupancy < cfg.lqSize
+        && !l1d_full) {
         uint64_t id = pendingLoadOffsets.front();
         const RobEntry &e = rob[id - rob.front().id];
         // A dependent load with loads outstanding unblocks via a fill

@@ -10,7 +10,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 
@@ -74,39 +73,48 @@ class Core final : public FillReceiver
 
     /**
      * Earliest future cycle a tick could retire, issue, or dispatch
-     * anything; kNeverWake when only a fill can unblock the pipeline
-     * (recvFill wakes the core then).
+     * anything; kNeverWake when only a fill (recvFill wakes the core
+     * then) or the L1D freeing a slot it refused (the L1D wakes the
+     * core then) can unblock the pipeline.
      */
     Cycle nextWakeCycle() const;
 
     /**
      * Counters, settled: stall cycles accrue lazily across gate-
-     * skipped stretches (see catchUpStallCounters), so reading
-     * through here first accounts everything up to the previous
-     * cycle — exactly what ungated ticks would have shown. The
-     * settle arithmetic is a pure function of component state, so it
-     * cannot perturb engine bit-identity.
+     * skipped stretches (see settle), so reading through here first
+     * accounts everything up to the previous cycle — exactly what
+     * ungated ticks would have shown. The settle arithmetic is a pure
+     * function of component state, so it cannot perturb engine
+     * bit-identity.
      */
     const CoreStats &
     stats() const
     {
-        auto *self = const_cast<Core *>(this);
-        self->catchUpStallCounters();
-        if (now() > 0)
-            self->lastTickCycle = std::max(lastTickCycle, now() - 1);
+        const_cast<Core *>(this)->settle(now());
         return stat;
     }
 
     /**
-     * Zero the counters. The skipped-cycle catch-up baseline resets
-     * with them so stall cycles skipped before the reset are not
-     * re-attributed after it.
+     * Account the stall counters for the cycles before @p until that
+     * the wake gate skipped: an ungated tick would increment
+     * robFullCycles/frontendStallCycles every idle cycle, so a
+     * sleeping core adds the arithmetic equivalent. The core state is
+     * provably unchanged across the skipped window (it slept because
+     * no tick could act, and a fill or a freed L1D slot wakes it for
+     * the following cycle), which makes the catch-up exact, not an
+     * estimate.
+     */
+    void settle(Cycle until);
+
+    /**
+     * Zero the counters. Skipped cycles are settled first, so stall
+     * cycles skipped before the reset are not re-attributed after it.
      */
     void
     resetStats()
     {
+        settle(now());
         stat.reset();
-        lastTickCycle = now() > 0 ? now() - 1 : 0;
     }
 
     uint32_t cpuId() const { return cpu; }
@@ -131,17 +139,6 @@ class Core final : public FillReceiver
     void issueLoads();
     void dispatch();
 
-    /**
-     * Account the stall counters for cycles the wake gate skipped: an
-     * ungated tick would increment robFullCycles/frontendStallCycles
-     * every idle cycle, so a sleeping core adds the arithmetic
-     * equivalent on wake-up. The core state is provably unchanged
-     * across the skipped window (it slept because no tick could act,
-     * and any fill wakes it for the following cycle), which makes the
-     * catch-up exact, not an estimate.
-     */
-    void catchUpStallCounters();
-
     Cycle now() const { return *clock; }
 
     CoreParams cfg;
@@ -160,8 +157,10 @@ class Core final : public FillReceiver
     Cycle frontendStallUntil = 0;
 
     WakeGate gate;
-    Cycle lastTickCycle = 0;      ///< catch-up baseline
+    Cycle settleFrom = 0;           ///< first cycle not yet accounted
     bool issueBlockedOnL1d = false; ///< l1d rejected a send this tick
+    /** The L1D wakes this core when it frees a slot it refused. */
+    bool l1dWakes = false;
 
     uint64_t retiredCount = 0;
     CoreStats stat;

@@ -113,14 +113,27 @@ class Prefetcher
         (void)vaddr;
     }
 
-    /** Advance one cycle (prefetch buffers drain here). */
+    /**
+     * Advance one cycle (prefetch buffers drain here).
+     *
+     * Contract with the attached cache: once the cache's full
+     * prefetch queue has refused an issuePrefetch() of a tick(), each
+     * later tick() called while that queue is unchanged may do nothing
+     * but make the same refused calls, retrying the same target. The
+     * cache counts the pfDroppedFull a tick adds and, while its queue
+     * head is blocked too, sleeps and replays that count for each
+     * cycle it skips. PrefetchBuffer::drain, the only tick that
+     * issues, returns at its first refused target and retries it
+     * first.
+     */
     virtual void tick() {}
 
     /**
      * True while tick() has pending work (a prefetch buffer still
      * draining). The attached cache keeps its wake gate open every
-     * cycle this returns true; schemes whose tick() is a no-op keep
-     * the default and never force a wake-up.
+     * cycle this returns true, unless the drain was refused by its
+     * full, blocked prefetch queue (see tick()); schemes whose tick()
+     * is a no-op keep the default and never force a wake-up.
      */
     virtual bool busy() const { return false; }
 

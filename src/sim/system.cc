@@ -238,6 +238,19 @@ System::setObsTrace(obs::TraceSink *sink, const std::string &label)
 }
 
 void
+System::settleCounters(Cycle through)
+{
+    Cycle until = std::min(through + 1, clock);
+    for (auto &c : cores)
+        c->settle(until);
+    for (auto &c : l1ds)
+        c->settle(until);
+    for (auto &c : l2s)
+        c->settle(until);
+    llcCache->settle(until);
+}
+
+void
 System::obsPhaseSpan(const char *name, Cycle begin)
 {
     if (!obsTrace || clock < begin)
@@ -300,7 +313,8 @@ System::driveLoop(uint64_t cap, DoneFn &&done, PostCycleFn &&post)
         if (clock >= cap)
             return false;
         if (obsSampler)
-            obsSampler->advanceTo(clock);
+            obsSampler->advanceTo(clock,
+                                  [this](Cycle b) { settleCounters(b); });
         tickAll();
         post();
     }

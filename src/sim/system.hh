@@ -194,9 +194,18 @@ class System
     /**
      * Attach (or detach, with null) an interval sampler. Pure
      * observation: the engine calls IntervalSampler::advanceTo before
-     * executing each cycle and never wakes for a boundary.
+     * executing each cycle, settling the counters through each
+     * boundary, and never wakes for a boundary.
      */
     void setObsSampler(obs::IntervalSampler *sampler);
+
+    /**
+     * Count every lazily counted counter (the caches' mshrFullStall,
+     * pfMshrWait and pfDroppedFull, the cores' stall cycles) through
+     * cycle @p through, or through the last executed cycle if that is
+     * earlier: what eager per-cycle counts would show there.
+     */
+    void settleCounters(Cycle through);
 
     /**
      * Attach a trace sink for simulated-time spans (run and simulate
@@ -224,7 +233,11 @@ class System
     /**
      * Tick, in the fixed order (cores, L1Ds, L2s, LLC, DRAM), every
      * component whose wake gate is open at the current cycle, then
-     * advance the clock and the speed counters.
+     * advance the clock and the speed counters. Every sender ticks
+     * before the device it sends to, which makes a receiver's wake-up
+     * of its senders at now + 1 (a freed slot in a queue that refused
+     * them) exact: an ungated sender would have been refused at now
+     * and could first succeed at now + 1.
      */
     void tickAll();
 

@@ -22,10 +22,19 @@
  *    ticking could have any effect given current state (kNeverWake
  *    when only external input can create work). A component may also
  *    skip cycles whose only effects it replays before its state is
- *    next read or changed (Core::catchUpStallCounters, Dram::settle).
+ *    next read or changed. Three do: Core::settle counts the stall
+ *    cycles of a core that cannot dispatch, Dram::settle replays the
+ *    scheduler's fruitless scans, and Cache::settle counts the
+ *    refusals (mshrFullStall, pfMshrWait, pfDroppedFull, its own and
+ *    the lower cache's) a cache repeats while everything it holds
+ *    waits on a full MSHR file or a full lower queue.
  *  - External inputs (sendRequest, recvFill, setTrace) call
  *    requestWake() on the target, so a sleeping component reopens its
- *    gate exactly when a tick could first do work again.
+ *    gate exactly when a tick could first do work again. A cache whose
+ *    full read or prefetch queue refused a sender wakes its senders
+ *    (registered at their construction) at now + 1 when it pops a
+ *    slot free; senders tick before their receiver, so that is the
+ *    first cycle an ungated sender's retry could succeed.
  */
 
 #pragma once

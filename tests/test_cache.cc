@@ -350,6 +350,59 @@ TEST_F(CacheTest, SameCycleResponsesArriveInScheduleOrder)
     }
 }
 
+/**
+ * A read-queue head stalled on a full MSHR file can only repeat its
+ * refusal until a fill frees an MSHR, so the cache sleeps: its gate
+ * stays closed from the cycle after the first refusal through the
+ * fill's cycle, and mshrFullStall still counts one stall per cycle
+ * the head waited, as a cache ticked every cycle would.
+ */
+TEST_F(CacheTest, StalledReadHeadSleepsUntilTheFillAndCountsEveryCycle)
+{
+    // 4 MSHRs, 2 tag lookups a cycle: misses 0-3 allocate at cycles 0
+    // and 1, miss 4 is refused from cycle 2 until the first fill (sent
+    // at cycle 0, returned at cycle 50) frees an MSHR.
+    for (int i = 0; i < 5; ++i)
+        cache->sendRequest(demand(0x10000 + i * 64, &rx, i));
+    constexpr Cycle kFirstStall = 2;
+    constexpr Cycle kFill = 50;
+    uint64_t ticks = 0;
+    while (clock <= kFill) {
+        bool open = cache->wakeGate().due(clock);
+        if (clock > kFirstStall)
+            EXPECT_FALSE(open) << "cycle " << clock;
+        ticks += open;
+        cache->tick();
+        mem.tick();
+        ++clock;
+        if (clock == 10) {
+            // Read mid-sleep: the stalls of cycles 2..9.
+            EXPECT_EQ(cache->stats().mshrFullStall, 10 - kFirstStall);
+        }
+    }
+    EXPECT_EQ(ticks, kFirstStall + 1);
+    EXPECT_TRUE(cache->wakeGate().due(clock)); // the fill woke it
+    run(1);
+    EXPECT_EQ(cache->rqOccupancy(), 0u); // miss 4 took a freed MSHR
+    EXPECT_EQ(cache->stats().mshrFullStall, kFill - kFirstStall + 1);
+}
+
+/**
+ * resetStats() in the middle of such a sleep counts none of the
+ * stall cycles before it, and every one after it.
+ */
+TEST_F(CacheTest, ResetStatsMidSleepDropsOnlyEarlierStalls)
+{
+    for (int i = 0; i < 5; ++i)
+        cache->sendRequest(demand(0x10000 + i * 64, &rx, i));
+    run(20);
+    ASSERT_FALSE(cache->wakeGate().due(clock)); // asleep since cycle 3
+    cache->resetStats();
+    EXPECT_EQ(cache->stats().mshrFullStall, 0u);
+    run(40); // through cycle 59: the head waited through cycle 50
+    EXPECT_EQ(cache->stats().mshrFullStall, 50u - 20u + 1u);
+}
+
 TEST_F(CacheTest, SetsForComputesGeometry)
 {
     EXPECT_EQ(CacheParams::setsFor(48 * 1024, 12), 64u);

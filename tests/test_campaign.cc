@@ -502,6 +502,24 @@ TEST(ResultCacheTest, KeyMismatchAndCorruptionReadAsMiss)
     why.clear();
     EXPECT_FALSE(cache.lookup(hash, rec.key, &out, &why));
     EXPECT_NE(why.find("unparseable"), std::string::npos);
+
+    // Empty file (a store cut off before its first byte): a miss too.
+    {
+        std::ofstream f(cache.path(hash),
+                        std::ios::binary | std::ios::trunc);
+    }
+    why.clear();
+    EXPECT_FALSE(cache.lookup(hash, rec.key, &out, &why));
+    EXPECT_NE(why.find("unparseable"), std::string::npos);
+
+    // A directory in the record's place opens, but sizes as 2^63 - 1
+    // bytes: a miss, not an allocation of that size.
+    std::filesystem::remove(cache.path(hash));
+    std::filesystem::create_directory(cache.path(hash));
+    why.clear();
+    EXPECT_FALSE(cache.lookup(hash, rec.key, &out, &why));
+    EXPECT_NE(why.find("unparseable"), std::string::npos);
+    std::filesystem::remove(cache.path(hash));
 }
 
 // ---- RunSummary equivalence -----------------------------------------

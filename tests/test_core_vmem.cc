@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/cache.hh"
 #include "sim/core.hh"
 #include "sim/vmem.hh"
 #include "test_util.hh"
@@ -219,6 +220,58 @@ TEST(VirtualMemoryTest, RespectsPhysicalBits)
     VirtualMemory vm(30); // 1GB => 18 bits of PPN
     for (Addr v = 0; v < 1000; ++v)
         EXPECT_LT(vm.pagePPN(v, 0), 1ULL << 18);
+}
+
+/**
+ * A core whose loads a full L1D read queue refuses sleeps (its ROB is
+ * full, so it cannot dispatch either) instead of retrying every cycle,
+ * and the L1D wakes it for the cycle after it pops a slot free.
+ */
+TEST(CoreL1dWake, RefusedCoreSleepsUntilTheL1dPops)
+{
+    Cycle clock = 0;
+    FakeMemory mem(&clock, /*latency=*/50);
+    VirtualMemory vm(34);
+    CacheParams p;
+    p.name = "L1D-test";
+    p.sets = 16;
+    p.ways = 2;
+    p.mshrs = 1;
+    p.rqSize = 2;
+    Cache l1d(p, &mem, &clock);
+    CoreParams cp;
+    cp.robSize = 8;
+    Core core(cp, 0, &l1d, &vm, &clock);
+    std::vector<TraceRecord> loads;
+    for (int i = 0; i < 64; ++i)
+        loads.push_back({0x1000, Addr(0x40000 + i * 64), TraceOp::Load, 0});
+    VectorTrace trace(std::move(loads));
+    core.setTrace(&trace);
+
+    // A prefetch holds the L1D's only MSHR until its fill returns at
+    // cycle 50, so the first two loads fill the read queue behind a
+    // refused head and the third is refused from cycle 2 on.
+    ASSERT_TRUE(l1d.issuePrefetch(0x900000, levelL1, false, 0));
+    auto step = [&] {
+        core.tick();
+        l1d.tick();
+        mem.tick();
+        ++clock;
+    };
+    step();
+    step();
+    step();
+    ASSERT_EQ(l1d.rqOccupancy(), 2u);
+    ASSERT_EQ(core.outstandingLoads(), 2u);
+    // The fill at cycle 50 wakes the L1D for 51, whose pop wakes the
+    // core for 52. No fill reaches the core before then.
+    while (clock < 52) {
+        EXPECT_FALSE(core.wakeGate().due(clock)) << "cycle " << clock;
+        step();
+    }
+    EXPECT_TRUE(core.wakeGate().due(clock));
+    step();
+    EXPECT_EQ(core.outstandingLoads(), 3u); // the refused load went in
 }
 
 } // namespace

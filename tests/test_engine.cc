@@ -234,6 +234,27 @@ TEST(EngineStatsTest, SummaryCarriesEngineSlice)
     EXPECT_EQ(s.minstrPerSec, r.minstrPerSec());
 }
 
+/**
+ * The work a cache saves by sleeping while it can only repeat
+ * refusals, pinned as ceilings on a cell whose L1D and L2 spend most
+ * of it on a full MSHR file. A change that sets a blocked cache (or
+ * a core the L1D refused) polling again fails here; one that saves
+ * more lowers the pins.
+ */
+TEST(EngineStatsTest, BlockedCachesSleepOnAnMshrSaturatedCell)
+{
+    EXPECT_TRUE(kScalePinned);
+    PfSpec pf;
+    pf.l1 = "gaze";
+    RunResult r = Runner(smallConfig(EngineKind::Auto))
+                      .run(findWorkload("fotonik3d_s"), pf);
+    // Ticking every blocked cache each cycle took 20,788 events over
+    // 11,298 executed cycles here.
+    EXPECT_LE(r.engine.eventsDispatched, 10868u);
+    EXPECT_LE(r.engine.cyclesExecuted, 5960u);
+    EXPECT_EQ(r.engine.cyclesTotal, 20926u); // same simulated time
+}
+
 // ---- the cycle cap --------------------------------------------------
 
 TEST(EngineCycleCap, TracelessCoreStopsAtTheCapOnBothEngines)

@@ -276,6 +276,113 @@ TEST(GoldenMetrics, PerSchemeAttributionPinned)
     }
 }
 
+// ---- stall counters, pinned at eager per-cycle counts ---------------
+
+/**
+ * The three counters a cache may count lazily: a cache whose queued
+ * work waits on a full MSHR file or a full lower queue sleeps and
+ * settles the refusals it would have repeated (Cache::settle). These
+ * values were recorded with a simulator that ticked every blocked
+ * cache every cycle and counted each refusal as it happened, so a
+ * replay that drops or double-counts a single cycle fails here.
+ */
+struct StallGolden
+{
+    const char *label;
+    uint64_t l1d[3]; ///< mshrFullStall, pfMshrWait, pfDroppedFull
+    uint64_t l2[3];
+    uint64_t llc[3];
+};
+
+// Regenerate by running this binary and copying the printed block,
+// but only from a change that means to move these counts: a change
+// to when caches tick must leave them as they are.
+const StallGolden kStallGolden[] = {
+    {"fotonik3d_s x gaze", {4394, 1751, 921}, {1508, 4706, 1667},
+     {0, 0, 0}},
+    {"fotonik3d_s x sms", {6618, 3325, 1719}, {2703, 6189, 3150},
+     {0, 0, 0}},
+    {"2core fotonik3d_s+classification-p2c0 x gaze", {3989, 790, 110},
+     {507, 3498, 555}, {0, 0, 0}},
+};
+
+TEST(GoldenMetrics, StallCountersPinned)
+{
+    EXPECT_TRUE(kScalePinned);
+    struct Cell
+    {
+        std::string label;
+        std::vector<std::string> mix;
+        const char *prefetcher;
+        bool doubleBudget; ///< the mix cells' 2x phases
+    };
+    const std::vector<Cell> cells = {
+        {"fotonik3d_s x gaze", {"fotonik3d_s"}, "gaze", false},
+        {"fotonik3d_s x sms", {"fotonik3d_s"}, "sms", false},
+        {"2core fotonik3d_s+classification-p2c0 x gaze",
+         {"fotonik3d_s", "classification-p2c0"}, "gaze", true},
+    };
+
+    struct Row
+    {
+        std::string label;
+        uint64_t v[3][3];
+    };
+    std::vector<Row> rows;
+    for (const Cell &cell : cells) {
+        RunConfig cfg = goldenConfig();
+        if (cell.doubleBudget) {
+            cfg.warmupInstr *= 2;
+            cfg.simInstr *= 2;
+        }
+        std::vector<WorkloadDef> mix;
+        for (const auto &w : cell.mix)
+            mix.push_back(findWorkload(w));
+        PfSpec pf;
+        pf.l1 = cell.prefetcher;
+        RunResult res = Runner(cfg).runMix(mix, pf);
+        Row r;
+        r.label = cell.label;
+        const CacheStats *levels[3] = {&res.l1d, &res.l2, &res.llc};
+        for (int l = 0; l < 3; ++l) {
+            r.v[l][0] = levels[l]->mshrFullStall;
+            r.v[l][1] = levels[l]->pfMshrWait;
+            r.v[l][2] = levels[l]->pfDroppedFull;
+        }
+        rows.push_back(r);
+    }
+
+    ASSERT_EQ(rows.size(), std::size(kStallGolden));
+    const char *names[3] = {"mshrFullStall", "pfMshrWait",
+                            "pfDroppedFull"};
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const Row &r = rows[i];
+        const StallGolden &g = kStallGolden[i];
+        ASSERT_EQ(r.label, g.label) << "table order drifted";
+        const uint64_t *want[3] = {g.l1d, g.l2, g.llc};
+        const char *level[3] = {"l1d", "l2", "llc"};
+        for (int l = 0; l < 3; ++l) {
+            for (int f = 0; f < 3; ++f)
+                EXPECT_EQ(r.v[l][f], want[l][f])
+                    << r.label << " " << level[l] << "." << names[f];
+        }
+    }
+
+    if (testing::Test::HasNonfatalFailure()) {
+        std::printf("// stall golden table (paste into "
+                    "kStallGolden):\n");
+        for (const auto &r : rows) {
+            std::printf("    {\"%s\"", r.label.c_str());
+            for (int l = 0; l < 3; ++l)
+                std::printf(", {%llu, %llu, %llu}",
+                            (unsigned long long)r.v[l][0],
+                            (unsigned long long)r.v[l][1],
+                            (unsigned long long)r.v[l][2]);
+            std::printf("},\n");
+        }
+    }
+}
+
 // ---- multi-core mix pins, per engine --------------------------------
 
 /**

@@ -229,6 +229,52 @@ TEST_F(MultiLevelTest, L2WithoutPrefetcherCreditsTheIssuingScheme)
     EXPECT_EQ(l2->stats().pfUseless, 1u);
 }
 
+/**
+ * An L1 prefetch passed down to an L2 whose full prefetch queue waits
+ * on a full MSHR file is refused every cycle until the L2 pops its
+ * head. The L1 sleeps through those cycles, the L2's pop wakes it for
+ * the next cycle (the first on which its send can succeed), and the
+ * L2's pfDroppedFull counts one refusal per cycle the L1 waited,
+ * whether it is read mid-sleep or after.
+ */
+TEST_F(MultiLevelTest, L1AsleepOnFullL2QueueWakesTheCycleAfterThePop)
+{
+    // Eight L2 prefetches take the L2's eight MSHRs by cycle 3 (their
+    // fills return from cycle 120); eight more fill its queue.
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(l2->issuePrefetch(0x100000 + i * 64, levelL2, false, 0));
+    run(4);
+    ASSERT_EQ(l2->mshrOccupancy(), 8u);
+    for (int i = 8; i < 16; ++i)
+        ASSERT_TRUE(l2->issuePrefetch(0x100000 + i * 64, levelL2, false, 0));
+    ASSERT_TRUE(l1->issuePrefetch(0x200000, levelL2, false, 0));
+    const Cycle first_refusal = clock;
+
+    Cycle pop = 0;
+    while (pop == 0) {
+        bool open = l1->wakeGate().due(clock);
+        if (clock > first_refusal)
+            EXPECT_FALSE(open) << "cycle " << clock;
+        l1->tick();
+        l2->tick();
+        mem.tick();
+        if (l2->pqOccupancy() < 8)
+            pop = clock;
+        ++clock;
+        if (clock == 60) {
+            EXPECT_EQ(l2->stats().pfDroppedFull, 60 - first_refusal);
+        }
+        ASSERT_LT(clock, 400u);
+    }
+    // The first two fills return at cycle 120 and wake the L2 for 121.
+    EXPECT_EQ(pop, 121u);
+    EXPECT_TRUE(l1->wakeGate().due(clock));
+    EXPECT_EQ(l2->stats().pfDroppedFull, pop - first_refusal + 1);
+    run(1);
+    EXPECT_EQ(l1->pqOccupancy(), 0u); // the send went through
+    EXPECT_EQ(l2->stats().pfDroppedFull, pop - first_refusal + 1);
+}
+
 TEST_F(MultiLevelTest, DuplicatePqTargetsAreDeduped)
 {
     ASSERT_TRUE(l1->issuePrefetch(0x90000, levelL1, false, 0));

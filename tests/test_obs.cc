@@ -185,25 +185,17 @@ TEST(ObsTimeline, RepeatRunsProduceByteIdenticalCsv)
 }
 
 /**
- * The timeline columns minus the engine-private and lazily-accounted
- * ones. Engine counters ("engine.*") legitimately differ across
- * engines — the polled engine executes every cycle. The core
- * stall-cycle counters are exempt too: Core::catchUpStallCounters
- * back-fills them when a sleeping core wakes, so mid-skip boundaries
- * read lower on the auto engine than on the (eager) polled one; end
- * of run they converge, which the bitwise differential suite pins.
- * Every other column only moves on executed cycles and must agree at
- * every boundary.
+ * The timeline columns minus the engine-private ones. Engine counters
+ * ("engine.*") legitimately differ across engines — the polled engine
+ * executes every cycle. Every architectural column must agree at
+ * every boundary, the lazily counted ones included (the cores' stall
+ * cycles, the caches' mshrFullStall, pfMshrWait and pfDroppedFull):
+ * the engine settles them through each boundary before its row.
  */
 bool
-lazyColumn(const std::string &name)
+engineColumn(const std::string &name)
 {
-    auto suffix = [&](const char *s) {
-        size_t n = std::char_traits<char>::length(s);
-        return name.size() >= n && name.compare(name.size() - n, n, s) == 0;
-    };
-    return name.rfind("engine.", 0) == 0 || suffix(".robFullCycles")
-           || suffix(".frontendStallCycles");
+    return name.rfind("engine.", 0) == 0;
 }
 
 std::pair<std::vector<std::string>, std::vector<std::vector<uint64_t>>>
@@ -212,7 +204,7 @@ architecturalColumns(const obs::SampleSeries &s)
     std::vector<size_t> keep;
     std::vector<std::string> names;
     for (size_t i = 0; i < s.names.size(); ++i) {
-        if (lazyColumn(s.names[i]))
+        if (engineColumn(s.names[i]))
             continue;
         keep.push_back(i);
         names.push_back(s.names[i]);
