@@ -16,7 +16,12 @@
 #                           (serve_smoke.sh), engine throughput,
 #                           obs trace (validate_obs.py on a fresh
 #                           --obs-trace)
-#   5. bench_compare        normal (non-sanitize) gate only: rerun the
+#   5. profile_layers       normal (non-sanitize) gate only: the
+#                           SIGPROF layer profiler at
+#                           GAZE_SIM_SCALE=0.02 must exit 0 and print
+#                           every layer (ASan must be the first
+#                           preloaded library, so not under --sanitize)
+#   6. bench_compare        normal (non-sanitize) gate only: rerun the
 #                           full engine benchmark at the committed
 #                           baseline's scale and fail on a >10%
 #                           geomean Minstr/s regression against the
@@ -199,11 +204,25 @@ GAZE_SIM_SCALE=0.02 ./src/gaze_sim --quiet \
 python3 ../scripts/validate_obs.py obs_smoke_trace.json
 head -1 obs_smoke_timeline.csv | grep -q "^prefetcher,workload,cycle,"
 
-# Perf-regression gate, normal build only: sanitizer instrumentation
-# slows the simulator 5-20x, so those builds would always "regress".
-# The fresh run uses the committed baseline's own scale so the work
-# matches; bench_compare.py skips itself on a host mismatch.
+# Layer profiler smoke and the perf-regression gate, normal build
+# only. profile_layers.sh LD_PRELOADs its sampler, and ASan must be
+# the first preloaded library. Sanitizer instrumentation slows the
+# simulator 5-20x, so those builds would always "regress". The fresh
+# run uses the committed baseline's own scale so the work matches;
+# bench_compare.py skips itself on a host mismatch.
 if [ "$BUILD_DIR" = build ]; then
+    echo "== profile_layers =="
+    GAZE_SIM_SCALE=0.02 sh ../scripts/profile_layers.sh . 1 \
+        > profile_layers.txt
+    cat profile_layers.txt
+    for layer in trace "core + vmem" cache containers "ring buffer" \
+        "MSHR table" "LRU ranks" prefetchers DRAM "engine loop"; do
+        grep -q "^ *$layer  " profile_layers.txt || {
+            echo "profile_layers: no '$layer' row" >&2
+            exit 1
+        }
+    done
+
     echo "== bench_compare =="
     BASE_SCALE=$(python3 -c "import json; \
 print(json.load(open('../BENCH_engine.json'))['scale'])")

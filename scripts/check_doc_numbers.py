@@ -60,6 +60,7 @@ def expected_fragments(doc, sim_doc):
         "skips %.0f%% of cycles and executes %.1fM of them"
         % (100.0 * sim_engine["skip_fraction"],
            sim_engine["cycles_executed"] / 1e6),
+        "runs its matrix at %.2f Minstr/s" % sim_engine["minstr_per_sec"],
     ]
 
 

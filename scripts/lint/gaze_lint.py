@@ -18,13 +18,15 @@ and fails the build when a change breaks one statically:
                          sanctioned shim (driver/thread_pool.hh) —
                          ad-hoc threads are where nondeterminism and
                          leaked joins start
-  hot-container          std::unordered_map/std::map/std::list inside
-                         src/sim/ or src/prefetchers/ — node-based or
+  hot-container          std::unordered_map/std::map/std::list/
+                         std::deque inside src/sim/ or
+                         src/prefetchers/ — node-based, chunked or
                          rehashing containers on the per-access hot
-                         path allocate per element and chase pointers
-                         per lookup; use the flat project structures
-                         (MshrTable, LruTable, RingBuffer) or plain
-                         vectors, or justify genuinely cold uses
+                         path allocate per element or chunk and chase
+                         pointers per lookup; use the flat project
+                         structures (MshrTable, LruTable, RingBuffer)
+                         or plain vectors, or justify genuinely cold
+                         uses
   using-namespace-header `using namespace` at header scope
   pragma-once            header missing `#pragma once`
   obs-direct-mutation    a `stat.<field>` counter mutated in an
@@ -243,15 +245,16 @@ def rule_raw_thread(sf):
 
 
 # The per-access hot path: every simulated memory reference walks
-# src/sim/ and src/prefetchers/ code, so a node-based or rehashing
-# container there means heap churn per miss and pointer chasing per
-# lookup. The flat structures (sim/mshr_table.hh, common/lru_table.hh,
-# common/ring_buffer.hh) exist to replace them; uses that are
-# genuinely cold (parse-time option tables, error paths) carry a
-# justified allow instead.
+# src/sim/ and src/prefetchers/ code, so a node-based, chunked
+# (std::deque) or rehashing container there means heap churn per miss
+# and pointer chasing per lookup. The flat structures
+# (sim/mshr_table.hh, common/lru_table.hh, common/ring_buffer.hh)
+# exist to replace them; uses that are genuinely cold (parse-time
+# option tables, error paths) carry a justified allow instead.
 HOT_PATH_DIRS = re.compile(r"(^|/)src/(sim|prefetchers)/")
 
-HOT_CONTAINER_RE = re.compile(r"\bstd::(unordered_map|map|list)\b")
+HOT_CONTAINER_RE = re.compile(
+    r"\bstd::(unordered_map|map|list|deque)\b")
 
 
 def rule_hot_container(sf):
@@ -259,10 +262,10 @@ def rule_hot_container(sf):
         return
     yield from grep_rule(
         sf, "hot-container", [HOT_CONTAINER_RE],
-        "'%s' on the simulator hot path: node-based/rehashing "
-        "containers allocate per element and chase pointers per "
-        "lookup; use MshrTable/LruTable/RingBuffer or a flat vector, "
-        "or justify a genuinely cold use with an allow()")
+        "'%s' on the simulator hot path: node-based, chunked and "
+        "rehashing containers allocate per element or chunk and chase "
+        "pointers per lookup; use MshrTable/LruTable/RingBuffer or a "
+        "flat vector, or justify a genuinely cold use with an allow()")
 
 
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")

@@ -68,6 +68,12 @@ class ViolationFixtures(unittest.TestCase):
         self.assert_found("src/prefetchers/hot_list.cc", 5,
                           "hot-container")
 
+    def test_hot_container_flags_deque(self):
+        # std::deque's chunk map is two indirections per access;
+        # RingBuffer is the flat FIFO the hot path uses instead.
+        self.assert_found("src/prefetchers/hot_list.cc", 6,
+                          "hot-container")
+
     def test_hot_container_scoped_to_hot_dirs(self):
         # export.cc deliberately holds an unordered_map (for the
         # unordered-in-output fixture) but lives in harness/: the
@@ -127,6 +133,7 @@ class ViolationFixtures(unittest.TestCase):
             ("src/sim/hot_map.cc", 6, "hot-container"),
             ("src/sim/hot_map.cc", 7, "hot-container"),
             ("src/prefetchers/hot_list.cc", 5, "hot-container"),
+            ("src/prefetchers/hot_list.cc", 6, "hot-container"),
             ("src/common/using_ns.hh", 6, "using-namespace-header"),
             ("src/common/no_pragma.hh", 1, "pragma-once"),
             ("src/sim/cache.cc", 8, "obs-direct-mutation"),

@@ -1,8 +1,9 @@
 /**
  * @file
  * Contiguous power-of-two ring buffer used for the simulator's hot
- * FIFO queues (cache read/write/prefetch queues, DRAM channel queues,
- * the prefetch buffer's issue queue).
+ * FIFO queues: the cache read/write/prefetch queues and response
+ * FIFOs, the core's ROB and pending-load list, the DRAM channel
+ * queues, the prefetch buffer's issue queue and Berti's history.
  *
  * std::deque allocates its map-of-chunks on first use and touches two
  * indirections per element access; on the per-access hot path those
@@ -37,6 +38,7 @@ class RingBuffer
         while (cap < initial_capacity)
             cap <<= 1;
         buf.resize(cap);
+        indexMask = cap - 1;
     }
 
     size_t size() const { return count; }
@@ -114,7 +116,12 @@ class RingBuffer
     }
 
   private:
-    size_t mask() const { return buf.size() - 1; }
+    /**
+     * buf.size() - 1, kept in a member: derived from the vector it
+     * costs a pointer subtraction and a division by sizeof(T) on
+     * every index, push and pop.
+     */
+    size_t mask() const { return indexMask; }
 
     void
     reserveOneMore()
@@ -125,10 +132,12 @@ class RingBuffer
         for (size_t i = 0; i < count; ++i)
             bigger[i] = std::move(buf[(head + i) & mask()]);
         buf.swap(bigger);
+        indexMask = buf.size() - 1;
         head = 0;
     }
 
     std::vector<T> buf;
+    size_t indexMask = 0;
     size_t head = 0;
     size_t count = 0;
 };

@@ -12,7 +12,8 @@ namespace gaze
 {
 
 BertiPrefetcher::BertiPrefetcher(const BertiParams &params)
-    : cfg(params), table(params.tableSets, params.tableWays)
+    : cfg(params), table(params.tableSets, params.tableWays),
+      history(size_t(params.historySize) + 1)
 {
 }
 
@@ -158,13 +159,14 @@ BertiPrefetcher::onFill(const FillEvent &fill)
     // Scan newest-to-oldest for the nearest *timely* accesses by the
     // same PC ("local" deltas are within one PC's stream).
     uint32_t credited = 0;
-    for (auto it = history.rbegin();
-         it != history.rend() && credited < cfg.creditsPerFill; ++it) {
-        if (it->cycle > deadline)
+    for (size_t i = history.size();
+         i-- > 0 && credited < cfg.creditsPerFill;) {
+        const HistoryRecord &h = history[i];
+        if (h.cycle > deadline)
             continue; // too recent: a prefetch then would be late
-        if (it->pc != fill.pc)
+        if (h.pc != fill.pc)
             continue;
-        int64_t delta = int64_t(block) - int64_t(it->block);
+        int64_t delta = int64_t(block) - int64_t(h.block);
         if (delta == 0)
             continue;
         if (std::llabs(delta) > max_reach)

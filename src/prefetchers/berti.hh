@@ -24,9 +24,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 
 #include "common/lru_table.hh"
+#include "common/ring_buffer.hh"
 #include "sim/prefetcher.hh"
 
 namespace gaze
@@ -117,7 +117,7 @@ class BertiPrefetcher : public Prefetcher
 
     BertiParams cfg;
     LruTable<PcEntry> table;
-    std::deque<HistoryRecord> history;
+    RingBuffer<HistoryRecord> history;
     uint64_t oracleDrops = 0;
 };
 

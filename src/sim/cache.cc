@@ -14,6 +14,7 @@ Cache::Cache(const CacheParams &params, MemoryDevice *lower_dev,
       lowerCache(dynamic_cast<Cache *>(lower_dev)), clock(clock_ptr),
       pool(pool_ptr),
       tagArr(size_t(params.sets) * params.ways, 0),
+      validMask(params.sets, 0),
       meta(size_t(params.sets) * params.ways),
       lru(params.sets, params.ways),
       readQ(params.rqSize), writeQ(params.wqSize),
@@ -145,7 +146,6 @@ Cache::issuePrefetch(Addr addr, uint32_t fill_level, bool virt,
     r.type = AccessType::Prefetch;
     r.cpu = cpu;
     r.fillLevel = fill_level;
-    r.pfOrigin = cfg.level;
     r.pfScheme = pf ? pf->schemeId() : 0;
     r.issueCycle = now();
     if (virt) {
@@ -201,10 +201,14 @@ Cache::deliverResponses()
             fifo = &fillResponses;
         if (fifo->empty() || fifo->front().ready > now())
             return;
-        Request r = fifo->front().req;
-        fifo->pop_front();
+        // Delivered in place, popped after: nothing pushes to this
+        // cache's own response FIFOs while it delivers (a requester's
+        // recvFill schedules on its own FIFOs, and the writebacks its
+        // fill sends here go to the write queue).
+        const Request &r = fifo->front().req;
         if (r.requester)
             r.requester->recvFill(r);
+        fifo->pop_front();
     }
 }
 
@@ -236,7 +240,7 @@ Cache::appendWaiter(MshrEntry &e, const Request &req)
 }
 
 bool
-Cache::missToMshr(Request &req)
+Cache::missToMshr(const Request &req)
 {
     if (MshrEntry *e = mshr.find(req.paddr)) {
         if (req.isDemand()) {
@@ -277,7 +281,7 @@ Cache::missToMshr(Request &req)
 }
 
 bool
-Cache::handleRead(Request &req)
+Cache::handleRead(const Request &req)
 {
     bool is_load = req.type == AccessType::Load;
 
@@ -322,7 +326,7 @@ Cache::handleRead(Request &req)
 }
 
 bool
-Cache::handleWrite(Request &req)
+Cache::handleWrite(const Request &req)
 {
     ++stat.wbAccess;
     size_t slot = lookupSlot(req.paddr);
@@ -339,7 +343,7 @@ Cache::handleWrite(Request &req)
 }
 
 Cache::PfOutcome
-Cache::handlePrefetch(Request &req)
+Cache::handlePrefetch(const Request &req)
 {
     if (req.fillLevel > cfg.level) {
         // Targeted at a lower level: pass it down untouched. The lower
@@ -423,11 +427,13 @@ Cache::tick()
 
     uint32_t ops = 0;
 
-    // Demand reads take priority for tag bandwidth.
+    // Demand reads take priority for tag bandwidth. Both loops handle
+    // the queue head in place: the read and prefetch queues refuse at
+    // capacity and so never grow, and a push while a head is handled
+    // (the prefetcher's, into the PQ) moves no element.
     bool read_blocked = false;
     while (ops < kTagPorts && !readQ.empty()) {
-        Request req = readQ.front();
-        if (!handleRead(req)) {
+        if (!handleRead(readQ.front())) {
             read_blocked = true; // head-of-line stall
             stallRate.mshrFullStall = 1;
             break;
@@ -449,8 +455,7 @@ Cache::tick()
 
     bool pq_blocked = false;
     while (ops < kTagPorts && !prefetchQ.empty()) {
-        Request req = prefetchQ.front();
-        PfOutcome out = handlePrefetch(req);
+        PfOutcome out = handlePrefetch(prefetchQ.front());
         if (out != PfOutcome::Done) {
             pq_blocked = true;
             stallRate.pfMshrWait = out == PfOutcome::MshrWait;
@@ -555,13 +560,8 @@ void
 Cache::fillBlock(const Request &req, bool mark_prefetch)
 {
     uint32_t set = setIndex(req.paddr);
-    size_t base = size_t(set) * cfg.ways;
-    uint64_t valid_mask = 0;
-    for (uint32_t w = 0; w < cfg.ways; ++w)
-        valid_mask |= uint64_t(tagArr[base + w] & kBlkValid) << w;
-
-    uint32_t way = lru.victim(set, valid_mask);
-    size_t slot = base + way;
+    uint32_t way = lru.victim(set, validMask[set]);
+    size_t slot = size_t(set) * cfg.ways + way;
     Addr old = tagArr[slot];
 
     Addr evicted = 0;
@@ -596,6 +596,7 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
     if (mark_prefetch)
         tag |= kBlkPrefetch;
     tagArr[slot] = tag;
+    validMask[set] |= uint64_t(1) << way;
     if (mark_prefetch || pf) {
         meta[slot].pfScheme = mark_prefetch ? req.pfScheme : 0;
         meta[slot].fillCycle = now();
@@ -625,11 +626,13 @@ Cache::fillBlock(const Request &req, bool mark_prefetch)
 void
 Cache::recvFill(const Request &req)
 {
+    // The entry is used in place and erased last: no MSHR is inserted
+    // or erased during a fill (only this cache's tick inserts, and
+    // only recvFill erases), so the reference stays valid.
     MshrEntry *slot = mshr.find(req.paddr);
     GAZE_ASSERT(slot, cfg.name, ": fill without MSHR for 0x",
                 std::hex, req.paddr);
-    MshrEntry e = *slot;
-    mshr.erase(req.paddr);
+    MshrEntry &e = *slot;
 
     // Mark the block as a prefetch only when this level is the
     // prefetch's target and no demand merged while it was in flight.
@@ -637,17 +640,16 @@ Cache::recvFill(const Request &req)
     bool mark_pf = pure_prefetch &&
                    e.downstream.fillLevel == cfg.level;
 
-    // Fill wherever level >= fillLevel (response path allocation).
-    Request fill_req = e.downstream;
-    // Propagate the vaddr of the first waiter that knows it.
+    // Fill wherever level >= fillLevel (response path allocation),
+    // with the vaddr of the first waiter that knows it.
     for (const RequestPool::Node *w = e.waitersHead; w; w = w->next) {
         if (w->req.vaddr) {
-            fill_req.vaddr = w->req.vaddr;
+            e.downstream.vaddr = w->req.vaddr;
             break;
         }
     }
     if (cfg.level >= e.downstream.fillLevel)
-        fillBlock(fill_req, mark_pf);
+        fillBlock(e.downstream, mark_pf);
 
     if (e.demanded) {
         Cycle lat = now() - e.allocCycle;
@@ -662,6 +664,7 @@ Cache::recvFill(const Request &req)
             scheduleResponse(fillResponses, w->req, now() + 1);
     }
     pool->releaseChain(e.waitersHead);
+    mshr.erase(req.paddr);
 
     // This call arrives from the lower level's tick, after this
     // cache's own tick of the cycle: anything it set in motion (the

@@ -362,12 +362,12 @@ class Cache final : public MemoryDevice, public FillReceiver
         MshrWait  ///< waits for an MSHR (pfMshrWait counted); retry
     };
 
-    bool handleRead(Request &req);
-    bool handleWrite(Request &req);
-    PfOutcome handlePrefetch(Request &req);
+    bool handleRead(const Request &req);
+    bool handleWrite(const Request &req);
+    PfOutcome handlePrefetch(const Request &req);
 
     /** Allocate or merge into an MSHR; false => caller must stall. */
-    bool missToMshr(Request &req);
+    bool missToMshr(const Request &req);
 
     void retryUnissuedMshrs();
 
@@ -431,6 +431,12 @@ class Cache final : public MemoryDevice, public FillReceiver
     uint32_t unissuedMshrs = 0;
 
     std::vector<Addr> tagArr;
+    /**
+     * Per set, bit w set when way w holds a valid block. No block is
+     * ever invalidated, so a fill sets its way's bit and nothing
+     * clears it, and the fill path need not scan the tags for it.
+     */
+    std::vector<uint64_t> validMask;
     std::vector<BlockMeta> meta;
     LruPolicy lru;
 

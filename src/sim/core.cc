@@ -11,7 +11,8 @@ namespace gaze
 
 Core::Core(const CoreParams &params, uint32_t cpu_id, MemoryDevice *l1,
            VirtualMemory *vm, const Cycle *clock_ptr)
-    : cfg(params), cpu(cpu_id), l1d(l1), vmem(vm), clock(clock_ptr)
+    : cfg(params), cpu(cpu_id), l1d(l1), vmem(vm), clock(clock_ptr),
+      rob(params.robSize), pendingLoadOffsets(params.robSize)
 {
     GAZE_ASSERT(l1d && vmem && clock, "core wiring incomplete");
     if (auto *cache = dynamic_cast<Cache *>(l1d)) {

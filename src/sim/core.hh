@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "sim/request.hh"
 #include "sim/trace.hh"
@@ -148,8 +148,9 @@ class Core final : public FillReceiver
     const Cycle *clock;
     TraceSource *trace = nullptr;
 
-    std::deque<RobEntry> rob;
-    std::deque<size_t> pendingLoadOffsets; ///< ROB ids awaiting issue
+    /** Both sized to robSize at construction, so neither grows. */
+    RingBuffer<RobEntry> rob;
+    RingBuffer<uint64_t> pendingLoadOffsets; ///< ROB ids awaiting issue
     uint64_t nextInstrId = 0;
 
     uint32_t lqOccupancy = 0;

@@ -117,8 +117,7 @@ class MshrTable
                 i = j;
             }
         }
-        used[i] = 0;
-        entries[i] = EntryT{};
+        used[i] = 0; // insert() re-initializes the payload
         return true;
     }
 

@@ -20,6 +20,13 @@ namespace gaze
  * LLC's state small enough for the host's cache. Ways start ranked by
  * index, way 0 least recent, so a full set that was never touched
  * evicts its lowest way first.
+ *
+ * Each set's ranks are padded to whole 16-byte chunks and compared a
+ * chunk at a time (SSE2 is baseline x86-64; GCC vector extensions
+ * compile to it), so one loop serves 1..64 ways. Ranks fit in a
+ * signed byte, so one signed compare orders them. Pad bytes hold 127,
+ * above every rank, so touch() never ages them, and they sit after
+ * the real ways, so they are never the first byte victim() matches.
  */
 class LruPolicy
 {
@@ -42,8 +49,12 @@ class LruPolicy
     uint32_t victim(uint32_t set, uint64_t valid_mask) const;
 
   private:
+    /** Sixteen ranks, one chunk of a set (GCC vector extension). */
+    typedef int8_t Chunk __attribute__((vector_size(16)));
+
     uint32_t numWays;
-    std::vector<uint8_t> rank;
+    uint32_t chunksPerSet;
+    std::vector<Chunk> rank;
 };
 
 } // namespace gaze

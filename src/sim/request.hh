@@ -55,12 +55,6 @@ struct Request
     uint32_t fillLevel = levelL1;
 
     /**
-     * Cache level whose prefetcher created this request (0 for demand).
-     * Prefetch usefulness is attributed at level == fillLevel only.
-     */
-    uint32_t pfOrigin = 0;
-
-    /**
      * Obs attribution: System-assigned id of the scheme that issued
      * this prefetch (0 = demand / no scheme). Rides the request down
      * the hierarchy and into the filled block, so usefulness,
@@ -85,6 +79,10 @@ struct Request
         return type == AccessType::Load || type == AccessType::Rfo;
     }
 };
+
+// One host cache line: every queue, response FIFO and MSHR entry holds
+// a Request, so a new field has to justify the growth.
+static_assert(sizeof(Request) <= 64, "Request outgrew a host cache line");
 
 /** Upward-facing interface: anything that can receive completed fills. */
 class FillReceiver

@@ -434,13 +434,12 @@ FileTrace::next(TraceRecord &out)
     if (delivered >= head.recordCount)
         return false;
     fill(kMaxRecordBytes); // best effort; short near end-of-payload
-    std::string reason;
     size_t used = decodeRecord(buffer.data() + bufPos,
                                buffer.data() + bufLen, &out, prevPc,
-                               prevVaddr, &reason);
+                               prevVaddr, &decodeError);
     if (!used)
         GAZE_FATAL("trace file '", path, "' record ", delivered, ": ",
-                   reason, " (file changed since probe?)");
+                   decodeError, " (file changed since probe?)");
     bufPos += used;
     consumed += used;
     ++delivered;

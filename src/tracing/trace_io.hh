@@ -160,6 +160,8 @@ class FileTrace : public TraceSource
     uint64_t delivered = 0; ///< records returned since reset
     PC prevPc = 0;
     Addr prevVaddr = 0;
+    /** Only a failed decode writes it: no string per record. */
+    std::string decodeError;
 };
 
 /** Conventional file name for a recorded workload: "<name>.gzt". */

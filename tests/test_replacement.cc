@@ -67,8 +67,9 @@ class StampLru
 TEST(Lru, SameVictimsAsGlobalStampLru)
 {
     // 12 and 16 ways are the L1D and LLC geometries; 1, 2, 3 and 64
-    // are the edges of the rank arithmetic and of the valid mask.
-    for (uint32_t ways : {1u, 2u, 3u, 8u, 12u, 16u, 64u}) {
+    // are the edges of the rank arithmetic and of the valid mask, and
+    // 17 and 33 leave a partial second and third 16-rank chunk.
+    for (uint32_t ways : {1u, 2u, 3u, 8u, 12u, 16u, 17u, 33u, 64u}) {
         SCOPED_TRACE(ways);
         const uint32_t sets = 4;
         LruPolicy ranks(sets, ways);
