@@ -10,10 +10,14 @@ calib_seconds: bench_engine times a fixed host kernel next to every
 run, and a shared host that runs up to 2x slower from one minute to
 the next slows both alike.
 
-Engine-throughput numbers are only comparable between like hosts and
-like workload sizes, so the gate SKIPS with a notice (exit 0) when:
+Engine-throughput numbers are only comparable between like hosts,
+like builds and like workload sizes, so the gate SKIPS with a notice
+(exit 0) when:
 
   * host_cpus differs between the two files (different machine class),
+  * build_type or cxx_flags differs (a Release build timed against a
+    RelWithDebInfo recording measures the compiler flags, not the
+    change),
   * scale / warmup / sim instruction counts differ (different work),
   * the files share no calibrated cells (renamed workload matrix, or a
     file recorded before calibration).
@@ -72,12 +76,12 @@ def main(argv=None):
     base = load(args.baseline)
     fresh = load(args.fresh)
 
-    for field in ("host_cpus", "scale", "warmup_instructions",
-                  "sim_instructions"):
+    for field in ("host_cpus", "build_type", "cxx_flags", "scale",
+                  "warmup_instructions", "sim_instructions"):
         if base.get(field) != fresh.get(field):
             print("bench_compare: SKIPPED — %s differs (baseline %r, "
                   "fresh %r); throughput is only comparable on a like "
-                  "host running like work" %
+                  "host running a like build on like work" %
                   (field, base.get(field), fresh.get(field)))
             return 0
 

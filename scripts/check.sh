@@ -27,10 +27,16 @@
 #                           geomean Minstr/s regression against the
 #                           checked-in BENCH_engine.json;
 #                           bench_compare.py SKIPs with a notice when
-#                           host_cpus (or the workload size) differs
+#                           host_cpus, the build (build_type,
+#                           cxx_flags) or the workload size differs
 #
 # Variants:
-#   ./scripts/check.sh                    normal gate, build/
+#   ./scripts/check.sh                    normal gate, build/, always
+#                                         configured RelWithDebInfo:
+#                                         the build the committed BENCH
+#                                         files record, and the one
+#                                         profile_layers needs line
+#                                         info from
 #   ./scripts/check.sh --sanitize         ASan+UBSan gate (alias for
 #                                         --sanitize=address),
 #                                         build-sanitize/
@@ -55,7 +61,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
-CMAKE_EXTRA="-DGAZE_WERROR=ON"
+CMAKE_EXTRA="-DGAZE_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo"
 RUN_TIDY=0
 RUN_FORMAT=0
 TSAN=0

@@ -2,7 +2,7 @@
 """Self-test for bench_compare.py on synthetic BENCH_engine documents:
 identical files pass, a cell at half speed that pulls the geomean under
 the gate fails and is named (worst first when several are), and a
-differing host_cpus SKIPs. Run directly or via CTest
+differing host_cpus, build_type or cxx_flags SKIPs. Run directly or via CTest
 (bench_compare_selftest, tier1)."""
 
 import json
@@ -24,6 +24,8 @@ def document():
     """Two cells x {polled, auto}: four calibrated pairs."""
     return {
         "host_cpus": 4,
+        "build_type": "RelWithDebInfo",
+        "cxx_flags": "-O2 -g -DNDEBUG",
         "scale": 0.25,
         "warmup_instructions": 1000,
         "sim_instructions": 4000,
@@ -99,6 +101,20 @@ class BenchCompare(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("SKIPPED", result.stdout)
         self.assertIn("host_cpus", result.stdout)
+
+    def test_differing_build_skips_naming_both_values(self):
+        for field, value in (("build_type", "Release"),
+                             ("cxx_flags", "-O3 -DNDEBUG")):
+            with self.subTest(field=field):
+                fresh = document()
+                fresh[field] = value
+                scale_rate(fresh, "mcf", "auto", 0.5)
+                result = self.compare(document(), fresh)
+                self.assertEqual(result.returncode, 0, result.stderr)
+                self.assertIn("SKIPPED", result.stdout)
+                self.assertIn(field, result.stdout)
+                self.assertIn(repr(document()[field]), result.stdout)
+                self.assertIn(repr(value), result.stdout)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,19 @@
 
 namespace gaze
 {
+namespace
+{
+
+/** Queue @p req with its address block-aligned: one copy, in place. */
+void
+pushAligned(RingBuffer<Request> &q, const Request &req)
+{
+    q.push_back(req);
+    Request &queued = q.back();
+    queued.paddr = blockAlign(queued.paddr);
+}
+
+} // namespace
 
 Cache::Cache(const CacheParams &params, MemoryDevice *lower_dev,
              const Cycle *clock_ptr, RequestPool *pool_ptr)
@@ -99,16 +112,14 @@ Cache::present(Addr paddr) const
 bool
 Cache::sendRequest(const Request &req)
 {
-    Request r = req;
-    r.paddr = blockAlign(r.paddr);
-    switch (r.type) {
+    switch (req.type) {
       case AccessType::Load:
       case AccessType::Rfo:
         if (readQ.size() >= cfg.rqSize) {
             rqRefused = true;
             return false;
         }
-        readQ.push_back(r);
+        pushAligned(readQ, req);
         gate.requestWake(now());
         return true;
       case AccessType::Writeback:
@@ -116,7 +127,7 @@ Cache::sendRequest(const Request &req)
         // evictions inside a fill, which cannot be retried, so a full
         // WQ refusing them would deadlock fills. Occupancy is still
         // tracked so DRAM write-drain pressure is realistic.
-        writeQ.push_back(r);
+        pushAligned(writeQ, req);
         gate.requestWake(now());
         return true;
       case AccessType::Prefetch:
@@ -125,7 +136,7 @@ Cache::sendRequest(const Request &req)
             pqRefused = true;
             return false;
         }
-        prefetchQ.push_back(r);
+        pushAligned(prefetchQ, req);
         gate.requestWake(now());
         return true;
       case AccessType::Translation:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "workloads/generators.hh"
 
 namespace gaze
@@ -18,60 +17,83 @@ constexpr uint64_t offsetBytes = 8;
 constexpr uint64_t neighborBytes = 4;
 constexpr uint64_t propertyBytes = 8;
 
+/** Power-law-ish degree, two draws: most vertices small, a heavy head. */
+uint64_t
+drawDegree(Rng &rng)
+{
+    double u = rng.uniform();
+    if (u < 0.01)
+        return rng.range(64, 256); // hubs
+    if (u < 0.2)
+        return rng.range(8, 32);
+    return rng.range(0, 8);
+}
+
 } // namespace
 
-SyntheticGraph
-makeGraph(uint64_t vertices, double avg_degree, uint64_t seed)
+SyntheticGraph::SyntheticGraph(uint64_t vertices, uint64_t seed)
+    : numVertices(vertices), rowStart(vertices + 1, 0),
+      drawn(vertices, false)
 {
     GAZE_ASSERT(vertices >= 16, "graph too small");
-    SyntheticGraph g;
-    g.numVertices = vertices;
-    g.rowStart.resize(vertices + 1, 0);
-
     Rng rng(seed);
-    uint64_t target_edges = static_cast<uint64_t>(vertices * avg_degree);
-    g.neighbors.reserve(target_edges);
-
-    // Power-law-ish degrees: most vertices small, a heavy head.
+    checkpoints.reserve((vertices + kCheckpointStride - 1)
+                        / kCheckpointStride);
     for (uint64_t v = 0; v < vertices; ++v) {
-        uint64_t deg;
-        double u = rng.uniform();
-        if (u < 0.01)
-            deg = rng.range(64, 256); // hubs
-        else if (u < 0.2)
-            deg = rng.range(8, 32);
-        else
-            deg = rng.range(0, 8);
-        g.rowStart[v + 1] = g.rowStart[v] + deg;
+        if (v % kCheckpointStride == 0)
+            checkpoints.push_back(rng);
+        uint64_t deg = drawDegree(rng);
+        rowStart[v + 1] = rowStart[v] + deg;
+        // One draw per endpoint, replayed by neighborsOf(v).
+        for (uint64_t e = 0; e < deg; ++e)
+            rng.next();
+    }
+    neighbors = std::make_unique_for_overwrite<uint32_t[]>(rowStart.back());
+
+    offsetsBase = graphArena;
+    neighborsBase = offsetsBase
+                    + ((vertices + 1) * offsetBytes + pageSize)
+                          / pageSize * pageSize;
+    propertyBase = neighborsBase
+                   + (rowStart.back() * neighborBytes + pageSize)
+                         / pageSize * pageSize;
+    frontierBase = propertyBase
+                   + (vertices * propertyBytes + pageSize)
+                         / pageSize * pageSize;
+}
+
+std::span<const uint32_t>
+SyntheticGraph::neighborsOf(uint64_t v)
+{
+    GAZE_ASSERT(v < numVertices, "vertex ", v, " out of range");
+    uint32_t *adj = neighbors.get() + rowStart[v];
+    uint64_t deg = rowStart[v + 1] - rowStart[v];
+    if (!drawn[v]) {
+        drawn[v] = true;
+        uint64_t first = v - v % kCheckpointStride;
+        Rng rng = checkpoints[first / kCheckpointStride];
+        // Each earlier vertex of the block drew two degree values and
+        // one endpoint per edge; then come v's own two degree draws.
+        uint64_t skip = 2 * (v - first) + (rowStart[v] - rowStart[first])
+                        + 2;
+        for (uint64_t i = 0; i < skip; ++i)
+            rng.next();
         for (uint64_t e = 0; e < deg; ++e) {
             // Endpoints skewed towards low vertex ids (hot vertices).
-            uint64_t n = rng.skewed(vertices, 1.2);
-            g.neighbors.push_back(static_cast<uint32_t>(n));
+            adj[e] = static_cast<uint32_t>(rng.skewed(numVertices, 1.2));
         }
         // CSR adjacency is sorted in practice; this is what gives
         // per-vertex property gathers their ascending spatial
         // regularity (and graph prefetching its opportunity).
-        std::sort(g.neighbors.begin() + g.rowStart[v],
-                  g.neighbors.end());
+        std::sort(adj, adj + deg);
     }
-
-    g.offsetsBase = graphArena;
-    g.neighborsBase = g.offsetsBase
-                      + ((vertices + 1) * offsetBytes + pageSize)
-                            / pageSize * pageSize;
-    g.propertyBase = g.neighborsBase
-                     + (g.neighbors.size() * neighborBytes + pageSize)
-                           / pageSize * pageSize;
-    g.frontierBase = g.propertyBase
-                     + (vertices * propertyBytes + pageSize)
-                           / pageSize * pageSize;
-    return g;
+    return {adj, deg};
 }
 
 VectorTrace
 genPageRank(const GraphTraceParams &p, bool init_phase)
 {
-    SyntheticGraph g = makeGraph(p.vertices, p.avgDegree, p.seed);
+    SyntheticGraph g(p.vertices, p.seed);
     TraceBuilder tb(p.records);
     Rng rng(p.seed * 3 + 1);
 
@@ -99,13 +121,15 @@ genPageRank(const GraphTraceParams &p, bool init_phase)
         Addr off_addr = g.offsetsBase + v * offsetBytes;
         tb.load(0x900200, off_addr);
         uint64_t begin = g.rowStart[v];
-        uint64_t end = g.rowStart[v + 1];
-        for (uint64_t e = begin; e < end && tb.size() < p.records; ++e) {
+        std::span<const uint32_t> adj = g.neighborsOf(v);
+        for (uint64_t i = 0; i < adj.size() && tb.size() < p.records;
+             ++i) {
             // Neighbor id load: sequential burst through the edge list.
-            tb.load(0x900204, g.neighborsBase + e * neighborBytes);
+            tb.load(0x900204,
+                    g.neighborsBase + (begin + i) * neighborBytes);
             // Rank gather: irregular, hot-skewed.
-            uint32_t n = g.neighbors[e];
-            tb.load(0x900208, g.propertyBase + Addr(n) * propertyBytes);
+            tb.load(0x900208,
+                    g.propertyBase + Addr(adj[i]) * propertyBytes);
             tb.nonMem(p.gapNonMem, 0x900210);
         }
         // Accumulated rank write-back.
@@ -118,7 +142,7 @@ genPageRank(const GraphTraceParams &p, bool init_phase)
 VectorTrace
 genBfs(const GraphTraceParams &p, bool init_phase)
 {
-    SyntheticGraph g = makeGraph(p.vertices, p.avgDegree, p.seed + 17);
+    SyntheticGraph g(p.vertices, p.seed + 17);
     TraceBuilder tb(p.records);
     Rng rng(p.seed * 7 + 5);
 
@@ -148,10 +172,12 @@ genBfs(const GraphTraceParams &p, bool init_phase)
         uint64_t v = rng.skewed(g.numVertices, 1.0);
         tb.load(0x910204, g.offsetsBase + v * offsetBytes);
         uint64_t begin = g.rowStart[v];
-        uint64_t end = g.rowStart[v + 1];
-        for (uint64_t e = begin; e < end && tb.size() < p.records; ++e) {
-            tb.load(0x910208, g.neighborsBase + e * neighborBytes);
-            uint32_t n = g.neighbors[e];
+        std::span<const uint32_t> adj = g.neighborsOf(v);
+        for (uint64_t i = 0; i < adj.size() && tb.size() < p.records;
+             ++i) {
+            tb.load(0x910208,
+                    g.neighborsBase + (begin + i) * neighborBytes);
+            uint32_t n = adj[i];
             // Parent check + conditional update.
             tb.load(0x91020c, g.propertyBase + Addr(n) * propertyBytes);
             if (rng.chance(0.3))
@@ -166,7 +192,7 @@ genBfs(const GraphTraceParams &p, bool init_phase)
 VectorTrace
 genTriangle(const GraphTraceParams &p)
 {
-    SyntheticGraph g = makeGraph(p.vertices, p.avgDegree, p.seed + 41);
+    SyntheticGraph g(p.vertices, p.seed + 41);
     TraceBuilder tb(p.records);
     Rng rng(p.seed * 11 + 3);
 
@@ -174,10 +200,12 @@ genTriangle(const GraphTraceParams &p)
     while (tb.size() < p.records) {
         tb.load(0x920200, g.offsetsBase + v * offsetBytes);
         uint64_t begin = g.rowStart[v];
-        uint64_t end = g.rowStart[v + 1];
-        for (uint64_t e = begin; e < end && tb.size() < p.records; ++e) {
-            tb.load(0x920204, g.neighborsBase + e * neighborBytes);
-            uint32_t u = g.neighbors[e];
+        std::span<const uint32_t> adj = g.neighborsOf(v);
+        for (uint64_t i = 0; i < adj.size() && tb.size() < p.records;
+             ++i) {
+            tb.load(0x920204,
+                    g.neighborsBase + (begin + i) * neighborBytes);
+            uint32_t u = adj[i];
             // Intersect: scan the start of u's neighbor list too.
             uint64_t ub = g.rowStart[u];
             uint64_t ue = std::min(g.rowStart[u + 1], ub + 8);

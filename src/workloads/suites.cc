@@ -124,9 +124,6 @@ graphParams(uint64_t seed)
     p.seed = seed;
     p.records = scaledRecords();
     p.vertices = 1 << 17;
-    // Denser adjacency: neighbor-list streaming carries more of the
-    // traffic, as in the paper's well-optimized Ligra workloads.
-    p.avgDegree = 12.0;
     p.gapNonMem = 3;
     return p;
 }

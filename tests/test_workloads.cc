@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hh"
 #include "workloads/generators.hh"
 #include "workloads/graph.hh"
 #include "workloads/suites.hh"
@@ -298,24 +304,126 @@ TEST(Generators, HazardLookalikesStartAtZero)
 
 // ---------------------------------------------------------------- graph
 
+/**
+ * The eager builder the lazy graph replaced, kept as its reference: one
+ * RNG stream, each vertex's two degree draws then one draw per
+ * endpoint, each list sorted, and the arena laid out after it.
+ */
+struct EagerGraph
+{
+    std::vector<uint64_t> rowStart;
+    std::vector<uint32_t> neighbors;
+    Addr offsetsBase = 0;
+    Addr neighborsBase = 0;
+    Addr propertyBase = 0;
+    Addr frontierBase = 0;
+};
+
+EagerGraph
+makeEagerGraph(uint64_t vertices, uint64_t seed)
+{
+    EagerGraph g;
+    g.rowStart.resize(vertices + 1, 0);
+    Rng rng(seed);
+    for (uint64_t v = 0; v < vertices; ++v) {
+        uint64_t deg;
+        double u = rng.uniform();
+        if (u < 0.01)
+            deg = rng.range(64, 256);
+        else if (u < 0.2)
+            deg = rng.range(8, 32);
+        else
+            deg = rng.range(0, 8);
+        g.rowStart[v + 1] = g.rowStart[v] + deg;
+        for (uint64_t e = 0; e < deg; ++e)
+            g.neighbors.push_back(
+                static_cast<uint32_t>(rng.skewed(vertices, 1.2)));
+        std::sort(g.neighbors.begin() + g.rowStart[v], g.neighbors.end());
+    }
+    auto pages = [](uint64_t bytes) {
+        return (bytes + pageSize) / pageSize * pageSize;
+    };
+    g.offsetsBase = 0x2'0000'0000ULL;
+    g.neighborsBase = g.offsetsBase + pages((vertices + 1) * 8);
+    g.propertyBase = g.neighborsBase + pages(g.neighbors.size() * 4);
+    g.frontierBase = g.propertyBase + pages(vertices * 8);
+    return g;
+}
+
+TEST(Graph, LazyAdjacencyEqualsTheEagerGraph)
+{
+    // Two registry graphs (1 << 17 vertices, the seeds of PageRank-1
+    // and of BFS-17, whose generator adds 17 to 304) and two small
+    // ones: 64-vertex blocks with a partial last one, and one block.
+    const std::pair<uint64_t, uint64_t> cases[] = {
+        {1 << 17, 301}, {1 << 17, 321}, {1000, 7}, {40, 3}};
+    for (auto [vertices, seed] : cases) {
+        SCOPED_TRACE("vertices " + std::to_string(vertices) + " seed "
+                     + std::to_string(seed));
+        EagerGraph want = makeEagerGraph(vertices, seed);
+        SyntheticGraph g(vertices, seed);
+        ASSERT_EQ(g.numVertices, vertices);
+        ASSERT_EQ(g.rowStart, want.rowStart);
+        EXPECT_EQ(g.offsetsBase, want.offsetsBase);
+        EXPECT_EQ(g.neighborsBase, want.neighborsBase);
+        EXPECT_EQ(g.propertyBase, want.propertyBase);
+        EXPECT_EQ(g.frontierBase, want.frontierBase);
+
+        // Read every vertex in shuffled order, so each replay starts
+        // from a block whose earlier vertices may be undrawn.
+        std::vector<uint64_t> order(vertices);
+        for (uint64_t v = 0; v < vertices; ++v)
+            order[v] = v;
+        Rng shuffle(seed ^ 0x5eed);
+        for (uint64_t i = vertices - 1; i > 0; --i)
+            std::swap(order[i], order[shuffle.below(i + 1)]);
+        size_t wrong = 0;
+        for (uint64_t v : order) {
+            std::span<const uint32_t> adj = g.neighborsOf(v);
+            auto first = want.neighbors.begin() + want.rowStart[v];
+            auto last = want.neighbors.begin() + want.rowStart[v + 1];
+            if (std::equal(adj.begin(), adj.end(), first, last))
+                continue;
+            if (++wrong <= 3)
+                ADD_FAILURE() << "vertex " << v << " adjacency differs";
+        }
+        EXPECT_EQ(wrong, 0u);
+    }
+}
+
 TEST(Graph, CsrIsConsistent)
 {
-    SyntheticGraph g = makeGraph(1 << 12, 6.0, 7);
-    EXPECT_EQ(g.rowStart.size(), g.numVertices + 1);
-    EXPECT_EQ(g.rowStart.back(), g.neighbors.size());
-    for (uint32_t n : g.neighbors)
-        EXPECT_LT(n, g.numVertices);
+    SyntheticGraph g(1 << 12, 7);
+    ASSERT_EQ(g.rowStart.size(), g.numVertices + 1);
+    for (uint64_t v = 0; v < g.numVertices; ++v) {
+        std::span<const uint32_t> adj = g.neighborsOf(v);
+        EXPECT_EQ(adj.size(), g.rowStart[v + 1] - g.rowStart[v]);
+        EXPECT_TRUE(std::is_sorted(adj.begin(), adj.end()));
+        for (uint32_t n : adj)
+            EXPECT_LT(n, g.numVertices);
+    }
     // Arena layout must not overlap.
     EXPECT_GT(g.neighborsBase, g.offsetsBase);
-    EXPECT_GT(g.propertyBase, g.neighborsBase);
+    EXPECT_GE(g.propertyBase - g.neighborsBase,
+              g.rowStart.back() * sizeof(uint32_t));
     EXPECT_GT(g.frontierBase, g.propertyBase);
 }
 
 TEST(Graph, DeterministicBySeed)
 {
-    SyntheticGraph a = makeGraph(1 << 10, 4.0, 3);
-    SyntheticGraph b = makeGraph(1 << 10, 4.0, 3);
-    EXPECT_EQ(a.neighbors, b.neighbors);
+    SyntheticGraph a(1 << 10, 3);
+    SyntheticGraph b(1 << 10, 3);
+    ASSERT_EQ(a.rowStart, b.rowStart);
+    // a is read forwards and b backwards: the order of first reads
+    // changes nothing, and a second read returns the first.
+    for (uint64_t v = 0; v < a.numVertices; ++v)
+        a.neighborsOf(v);
+    for (uint64_t v = b.numVertices; v-- > 0;) {
+        std::span<const uint32_t> x = b.neighborsOf(v);
+        std::span<const uint32_t> y = a.neighborsOf(v);
+        EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+            << "vertex " << v;
+    }
 }
 
 TEST(Graph, InitPhaseIsStreamingHeavy)
