@@ -26,12 +26,6 @@
  * in the JSON) as the robustness check: best and median diverging
  * flags a noisy host, not a faster simulator.
  *
- * When a committed BENCH_engine.json baseline is readable (cwd or the
- * parent directory, i.e. the repo root when run from build/), the
- * full run additionally prints a per-cell before/after table of
- * polled-engine Minstr/s against it, so structure-level work shows up
- * as a reviewable throughput delta per cell.
- *
  *   bench_engine            full comparison (honors GAZE_SIM_SCALE)
  *   bench_engine --quick    short cells; asserts throughput > 0 AND
  *                           polled == auto metric identity, dying
@@ -43,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -178,71 +171,6 @@ timedCell(const std::vector<WorkloadDef> &mix, const PfSpec &pf,
             seconds[e][seconds[e].size() / 2];
     }
     return cell;
-}
-
-/**
- * Per-cell polled Minstr/s from a committed BENCH_engine.json, keyed
- * "workload|prefetcher". The file is our own JsonWriter output, so a
- * targeted scan (no general JSON parser in the tree) is enough: for
- * each "workload"/"prefetcher" pair, take the first "minstr_per_sec"
- * inside the following "polled" block. Cells with no polled block
- * before the next row are skipped. Returns empty when no baseline is
- * readable — the before/after table is then simply omitted.
- */
-std::vector<std::pair<std::string, double>>
-loadPolledBaseline(std::string *pathUsed)
-{
-    std::vector<std::pair<std::string, double>> base;
-    std::string text;
-    for (const char *path : {"BENCH_engine.json", "../BENCH_engine.json"}) {
-        std::FILE *f = std::fopen(path, "rb");
-        if (!f)
-            continue;
-        char buf[4096];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-            text.append(buf, n);
-        std::fclose(f);
-        *pathUsed = path;
-        break;
-    }
-    if (text.empty())
-        return base;
-
-    auto stringAfter = [&](const char *key, size_t &pos) {
-        size_t k = text.find(key, pos);
-        if (k == std::string::npos)
-            return std::string();
-        k += std::strlen(key);
-        size_t end = text.find('"', k);
-        if (end == std::string::npos)
-            return std::string();
-        pos = end + 1;
-        return text.substr(k, end - k);
-    };
-
-    size_t pos = 0;
-    while (true) {
-        std::string wl = stringAfter("\"workload\":\"", pos);
-        if (wl.empty())
-            break;
-        std::string pf = stringAfter("\"prefetcher\":\"", pos);
-        if (pf.empty())
-            break;
-        size_t polled = text.find("\"polled\":{", pos);
-        size_t nextCell = text.find("\"workload\":\"", pos);
-        if (polled == std::string::npos
-            || (nextCell != std::string::npos && polled > nextCell))
-            continue; // no polled block before the next row
-        size_t v = text.find("\"minstr_per_sec\":", polled);
-        if (v == std::string::npos)
-            break;
-        v += std::strlen("\"minstr_per_sec\":");
-        base.emplace_back(wl + "|" + pf,
-                          std::strtod(text.c_str() + v, nullptr));
-        pos = v;
-    }
-    return base;
 }
 
 /**
@@ -390,39 +318,6 @@ main(int argc, char **argv)
                 100.0 * c.autorun.result.engine.skipFraction());
             cells.push_back(std::move(c));
         }
-    }
-
-    // Per-cell before/after against the committed baseline: the polled
-    // column is where data-structure work shows up undiluted by
-    // idle-cycle skipping, so it is the one compared.
-    std::string basePath;
-    auto baseline = loadPolledBaseline(&basePath);
-    if (!baseline.empty()) {
-        std::printf("\npolled Minstr/s vs committed baseline (%s):\n",
-                    basePath.c_str());
-        std::vector<double> ratios;
-        for (const auto &c : cells) {
-            std::string key = c.workload + "|" + c.prefetcher;
-            double before = 0.0;
-            for (const auto &kv : baseline)
-                if (kv.first == key)
-                    before = kv.second;
-            double after = c.polled.minstrPerSec(c.polled.bestSeconds);
-            if (before <= 0.0) {
-                std::printf("  %-10s x %-6s | (no baseline) -> %6.3f\n",
-                            c.workload.c_str(), c.prefetcher.c_str(),
-                            after);
-                continue;
-            }
-            ratios.push_back(after / before);
-            std::printf(
-                "  %-10s x %-6s | before %6.3f -> after %6.3f (%.2fx)\n",
-                c.workload.c_str(), c.prefetcher.c_str(), before, after,
-                after / before);
-        }
-        if (!ratios.empty())
-            std::printf("  geomean polled improvement: %.2fx\n",
-                        geomean(ratios));
     }
 
     double minAuto = *std::min_element(autoSpeedups.begin(),

@@ -10,7 +10,8 @@
 #                           -Wsuggest-override) is part of the gate
 #   3. ctest -L tier1       the fast test set ("slow" label is what a
 #                           full `ctest` adds on top)
-#   4. smokes               registry JSON contract (registry_check.py),
+#   4. smokes               registry JSON contract and parked-option
+#                           guard (registry_check.py --specs),
 #                           trace record->validate->replay, campaign
 #                           cache, campaign service daemon
 #                           (serve_smoke.sh), engine throughput,
@@ -145,10 +146,13 @@ ctest -L tier1 --output-on-failure --stop-on-failure -j
 # through the registry — parse, canonicalize, build, storageBits() —
 # and registry_check.py asserts the contract on the result: every
 # scheme has a canonical spelling, a sane storage_kib and non-empty
-# docs. The text view adds the storage tables.
+# docs, and every scheme and option is selected by some figure spec
+# or allowlisted with its paper section. The text view adds the
+# storage tables.
 ./src/gaze_campaign describe --json > registry.json
 python3 ../scripts/lint/registry_check.py \
-    --require=gaze,vberti,sms,dspatch,ip_stride registry.json
+    --require=gaze,vberti,sms,dspatch,ip_stride \
+    --specs='../examples/campaign_fig*.json' registry.json
 ./src/gaze_campaign describe > /dev/null
 
 # Trace subsystem smoke: record two workloads, validate the files,

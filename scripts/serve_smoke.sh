@@ -142,8 +142,8 @@ grep -q '"missing":0' campaign_status.json
 echo "OK: daemon and campaign status agree the cache is complete"
 
 echo "== bad spec: the daemon rejects with the offline diagnostic"
-sed 's/"gaze"/"bingo:region=3000"/' spec.json > spec_bad.json
-grep -q 'bingo:region=3000' spec_bad.json
+sed 's/"gaze"/"gaze:region=3000"/' spec.json > spec_bad.json
+grep -q 'gaze:region=3000' spec_bad.json
 rc=0
 "$SERVE" submit --socket=./serve.sock --spec=spec_bad.json \
     --out=bad_report.json 2> bad_submit.txt || rc=$?

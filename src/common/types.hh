@@ -153,27 +153,10 @@ hashPC(PC pc, uint32_t bits)
 /** Access type carried by memory requests throughout the hierarchy. */
 enum class AccessType : uint8_t
 {
-    Load,       ///< demand load
-    Rfo,        ///< store / read-for-ownership
-    Prefetch,   ///< prefetcher-generated request
-    Writeback,  ///< dirty eviction travelling down
-    Translation ///< page-walk style access (unused by default)
+    Load,     ///< demand load
+    Rfo,      ///< store / read-for-ownership
+    Prefetch, ///< prefetcher-generated request
+    Writeback ///< dirty eviction travelling down
 };
-
-/** Human-readable name for an AccessType. */
-const char *accessTypeName(AccessType t);
-
-inline const char *
-accessTypeName(AccessType t)
-{
-    switch (t) {
-      case AccessType::Load: return "load";
-      case AccessType::Rfo: return "rfo";
-      case AccessType::Prefetch: return "prefetch";
-      case AccessType::Writeback: return "writeback";
-      case AccessType::Translation: return "translation";
-    }
-    return "?";
-}
 
 } // namespace gaze

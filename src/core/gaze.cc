@@ -125,7 +125,7 @@ GazePrefetcher::handleAtHit(Addr region_base, AtEntry &e, uint32_t off)
         predict(region_base, e);
 
     // Region-local stride engine (➐ in Fig. 3b): promotion and backup.
-    if (e.strideFlag && e.haveTwo && cfg.enableBackupStride) {
+    if (e.strideFlag && e.haveTwo) {
         int64_t s1 = int64_t(e.last) - int64_t(e.penult);
         int64_t s2 = int64_t(off) - int64_t(e.last);
         if (s1 == s2 && s1 != 0)
@@ -213,8 +213,7 @@ GazePrefetcher::predict(Addr region_base, AtEntry &e)
 
     // Normal case (Fig. 3c bottom): strict PHT match on the first n
     // offsets; on a miss, arm the stride backup.
-    const Bitset *fp = cfg.strictMatch ? phtTable.lookup(e.first)
-                                       : phtTable.lookupApprox(e.first);
+    const Bitset *fp = phtTable.lookup(e.first);
     if (fp) {
         ++ctr.phtHits;
         patScratch.assign(blocks, PfLevel::None);
@@ -230,8 +229,7 @@ GazePrefetcher::predict(Addr region_base, AtEntry &e)
         }
     } else {
         ++ctr.phtMisses;
-        if (cfg.enableBackupStride)
-            e.strideFlag = true;
+        e.strideFlag = true;
     }
 }
 
@@ -388,12 +386,6 @@ gazeDescriptor()
         OptionSchema::flag(
             "sm4ss",
             "operate on streaming-case regions only (Fig. 10)"),
-        OptionSchema::flag(
-            "nobackup",
-            "disable the region-local backup stride (§III-C)"),
-        OptionSchema::flag(
-            "loose",
-            "approximate (non-strict) PHT matching (§III-B)"),
     };
     d.build = [](const SpecOptions &o) -> std::unique_ptr<Prefetcher> {
         GazeConfig cfg;
@@ -419,10 +411,6 @@ gazeDescriptor()
         }
         if (o.flag("sm4ss"))
             cfg.streamingRegionsOnly = true;
-        if (o.flag("nobackup"))
-            cfg.enableBackupStride = false;
-        if (o.flag("loose"))
-            cfg.strictMatch = false;
         // n == 1 is the pure trigger-offset characterization
         // ("Offset" in Figs. 1/9): everything, including dense
         // streaming patterns, goes through the offset-indexed PHT.

@@ -54,13 +54,6 @@ struct GazeConfig
     uint32_t numInitialAccesses = 2;
 
     /**
-     * Strict matching (§III-B): both the trigger index and second-
-     * offset tag must match; no partial-match fallback. Setting false
-     * allows a Bingo-style approximate match on the indexed set.
-     */
-    bool strictMatch = true;
-
-    /**
      * Streaming module (DPCT + DC + two-stage aggressiveness, §III-C).
      * Disabled => "Gaze-PHT" in Fig. 9 (dense footprints go through
      * the PHT like any other pattern).
@@ -79,9 +72,6 @@ struct GazeConfig
      * nor predicted. Used by the PHT4SS / SM4SS comparison.
      */
     bool streamingRegionsOnly = false;
-
-    /** Region-local stride backup + stage-2 promotion (§III-C). */
-    bool enableBackupStride = true;
 
     /** Stage 1 moderate aggressiveness: blocks sent to L1D. */
     uint32_t streamHeadBlocks = 16;

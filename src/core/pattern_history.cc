@@ -41,20 +41,6 @@ PatternHistoryTable::lookup(const InitialAccesses &event)
     return table.find(indexOf(event), tagOf(event));
 }
 
-const Bitset *
-PatternHistoryTable::lookupApprox(const InitialAccesses &event)
-{
-    if (const Bitset *exact = table.find(indexOf(event), tagOf(event)))
-        return exact;
-    // Partial match: any pattern in the trigger offset's set. Return
-    // the last valid way in way order (not the most recent one).
-    const Bitset *last = nullptr;
-    table.forEachInSet(indexOf(event), [&](uint64_t, Bitset &fp) {
-        last = &fp;
-    });
-    return last;
-}
-
 size_t
 PatternHistoryTable::occupancy() const
 {

@@ -61,14 +61,6 @@ class PatternHistoryTable
      */
     const Bitset *lookup(const InitialAccesses &event);
 
-    /**
-     * Approximate lookup for the strictMatch=false ablation: on a tag
-     * miss, fall back to the valid pattern in the highest way of the
-     * indexed set (trigger matches, later offsets may not). The pick
-     * follows way order, not LRU recency.
-     */
-    const Bitset *lookupApprox(const InitialAccesses &event);
-
     /** Entries currently valid (tests). */
     size_t occupancy() const;
 

@@ -108,22 +108,8 @@ bingoDescriptor()
     d.name = "bingo";
     d.doc = "Bingo (HPCA'19): exact long-event match to L1D, voted "
             "approximate match split across L1/L2";
-    d.options = {
-        OptionSchema::uintRange(
-            "region", 2048, 2 * blockSize, 1u << 20,
-            "spatial region size in bytes (Table IV uses 2KB)", true),
-        OptionSchema::uintRange(
-            "phtsets", 1024, 1, 1u << 20,
-            "PHT sets (Table IV's enhanced 16k-entry configuration)",
-            true),
-        OptionSchema::uintRange("phtways", 16, 1, 4096, "PHT ways"),
-    };
-    d.build = [](const SpecOptions &o) -> std::unique_ptr<Prefetcher> {
-        BingoParams cfg;
-        cfg.base.regionSize = o.num("region");
-        cfg.phtSets = static_cast<uint32_t>(o.num("phtsets"));
-        cfg.phtWays = static_cast<uint32_t>(o.num("phtways"));
-        return std::make_unique<BingoPrefetcher>(cfg);
+    d.build = [](const SpecOptions &) -> std::unique_ptr<Prefetcher> {
+        return std::make_unique<BingoPrefetcher>();
     };
     return d;
 }

@@ -106,15 +106,8 @@ dspatchDescriptor()
     d.name = "dspatch";
     d.doc = "DSPatch (MICRO'19): dual coverage/accuracy bit-pattern "
             "selection steered by DRAM bandwidth headroom";
-    d.options = {
-        OptionSchema::uintRange(
-            "region", 2048, 2 * blockSize, 1u << 20,
-            "spatial region size in bytes (Table IV uses 2KB)", true),
-    };
-    d.build = [](const SpecOptions &o) -> std::unique_ptr<Prefetcher> {
-        DspatchParams cfg;
-        cfg.base.regionSize = o.num("region");
-        return std::make_unique<DspatchPrefetcher>(cfg);
+    d.build = [](const SpecOptions &) -> std::unique_ptr<Prefetcher> {
+        return std::make_unique<DspatchPrefetcher>();
     };
     return d;
 }

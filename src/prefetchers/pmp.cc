@@ -126,15 +126,8 @@ pmpDescriptor()
     d.name = "pmp";
     d.doc = "PMP (MICRO'21): offset/PC pattern-merging with "
             "counter-vector confidence thresholds";
-    d.options = {
-        OptionSchema::uintRange(
-            "region", 4096, 2 * blockSize, 1u << 20,
-            "spatial region size in bytes (Table IV uses 4KB)", true),
-    };
-    d.build = [](const SpecOptions &o) -> std::unique_ptr<Prefetcher> {
-        PmpParams cfg;
-        cfg.base.regionSize = o.num("region");
-        return std::make_unique<PmpPrefetcher>(cfg);
+    d.build = [](const SpecOptions &) -> std::unique_ptr<Prefetcher> {
+        return std::make_unique<PmpPrefetcher>();
     };
     return d;
 }

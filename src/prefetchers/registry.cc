@@ -25,7 +25,6 @@ PrefetcherDescriptor dspatchDescriptor();
 PrefetcherDescriptor pmpDescriptor();
 PrefetcherDescriptor ipcpDescriptor();
 PrefetcherDescriptor sppPpfDescriptor();
-PrefetcherDescriptor sppDescriptor();
 PrefetcherDescriptor vbertiDescriptor();
 PrefetcherDescriptor ipStrideDescriptor();
 
@@ -40,7 +39,6 @@ PrefetcherDescriptor (*const kSchemes[])() = {
     pmpDescriptor,
     ipcpDescriptor,
     sppPpfDescriptor,
-    sppDescriptor,
     vbertiDescriptor,
     ipStrideDescriptor,
 };

@@ -98,43 +98,23 @@ smsDescriptor()
             {"offset", "pc", "pc+offset", "pc+addr"},
             "PHT trigger event (Fig. 1 x-axis points; pc+offset is "
             "SMS proper)"),
-        OptionSchema::uintRange(
-            "phtsets", 0, 0, 1u << 20,
-            "PHT sets; 0 = auto for the scheme (64 for offset/pc, "
-            "1024 otherwise)",
-            true),
-        OptionSchema::uintRange(
-            "phtways", 0, 0, 4096,
-            "PHT ways; 0 = auto for the scheme (1 for offset, 4 for "
-            "pc, 16 otherwise)"),
-        OptionSchema::uintRange(
-            "region", 2048, 2 * blockSize, 1u << 20,
-            "spatial region size in bytes (Table IV uses 2KB)", true),
     };
     d.build = [](const SpecOptions &o) -> std::unique_ptr<Prefetcher> {
         SmsParams cfg;
         std::string scheme = o.str("scheme");
-        // Per-scheme PHT geometry from the paper's Fig. 1 points,
-        // unless the spec pins it explicitly.
-        uint64_t auto_sets = 1024, auto_ways = 16;
+        // Per-scheme PHT geometry from the paper's Fig. 1 points; the
+        // PC+Offset and PC+Address points keep Table IV's 16k entries.
         if (scheme == "offset") {
             cfg.scheme = SmsEventScheme::Offset;
-            auto_sets = 64;
-            auto_ways = 1;
+            cfg.phtSets = 64;
+            cfg.phtWays = 1;
         } else if (scheme == "pc") {
             cfg.scheme = SmsEventScheme::Pc;
-            auto_sets = 64;
-            auto_ways = 4;
-        } else if (scheme == "pc+offset") {
-            cfg.scheme = SmsEventScheme::PcOffset;
-        } else {
+            cfg.phtSets = 64;
+            cfg.phtWays = 4;
+        } else if (scheme == "pc+addr") {
             cfg.scheme = SmsEventScheme::PcAddr;
         }
-        uint64_t sets = o.num("phtsets");
-        uint64_t ways = o.num("phtways");
-        cfg.phtSets = static_cast<uint32_t>(sets ? sets : auto_sets);
-        cfg.phtWays = static_cast<uint32_t>(ways ? ways : auto_ways);
-        cfg.base.regionSize = o.num("region");
         return std::make_unique<SmsPrefetcher>(cfg);
     };
     return d;

@@ -95,11 +95,9 @@ SppPpfPrefetcher::onAccess(const DemandAccess &access)
 
     // Usefulness feedback: a demand touching a block we prefetched is
     // a positive training event for the filter.
-    if (cfg.enablePpf) {
-        if (const FeatureVec *feats = pending.find(block)) {
-            trainPerceptron(*feats, /*useful=*/true);
-            pending.erase(block);
-        }
+    if (const FeatureVec *feats = pending.find(block)) {
+        trainPerceptron(*feats, /*useful=*/true);
+        pending.erase(block);
     }
 
     Addr page = pageNumber(access.vaddr);
@@ -152,18 +150,13 @@ SppPpfPrefetcher::onAccess(const DemandAccess &access)
                       | (Addr(cursor) << blockShift);
 
         ++proposed;
-        bool accept = true;
-        std::array<uint16_t, numFeatures> feats{};
-        if (cfg.enablePpf) {
-            int32_t s = score(access.pc, target, sig, best->delta,
-                              depth, path_conf, feats);
-            accept = s >= cfg.ppfThreshold;
-        }
-        if (accept) {
+        FeatureVec feats{};
+        int32_t s = score(access.pc, target, sig, best->delta, depth,
+                          path_conf, feats);
+        if (s >= cfg.ppfThreshold) {
             uint32_t fill = path_conf >= cfg.fillThreshold ? levelL1
                                                            : levelL2;
-            if (issuePrefetch(target, fill, /*virt=*/true)
-                && cfg.enablePpf)
+            if (issuePrefetch(target, fill, /*virt=*/true))
                 recordPending(blockNumber(target), feats);
         } else {
             ++rejected;
@@ -175,7 +168,7 @@ SppPpfPrefetcher::onAccess(const DemandAccess &access)
 void
 SppPpfPrefetcher::onEvict(Addr /*paddr*/, Addr vaddr)
 {
-    if (!cfg.enablePpf || vaddr == 0)
+    if (vaddr == 0)
         return;
     // A prefetched block leaving the cache untouched is a negative
     // training event.
@@ -191,10 +184,6 @@ SppPpfPrefetcher::storageBits() const
 {
     uint64_t st_bits = uint64_t(cfg.stEntries) * (16 + 12 + 6);
     uint64_t pt_bits = uint64_t(cfg.ptSets) * (4 * (7 + 4) + 6);
-    // Plain "spp" carries no perceptron tables: its budget must not
-    // include the filter it does not have.
-    if (!cfg.enablePpf)
-        return st_bits + pt_bits;
     uint64_t ppf_bits = uint64_t(numFeatures) * cfg.ppfTableSize * 6
                         + uint64_t(cfg.ppfHistory) * (30 + 16);
     return st_bits + pt_bits + ppf_bits;
@@ -209,21 +198,6 @@ sppPpfDescriptor()
             "(ISCA'19)";
     d.build = [](const SpecOptions &) -> std::unique_ptr<Prefetcher> {
         return std::make_unique<SppPpfPrefetcher>();
-    };
-    return d;
-}
-
-PrefetcherDescriptor
-sppDescriptor()
-{
-    PrefetcherDescriptor d;
-    d.name = "spp";
-    d.doc = "SPP (MICRO'16) alone: the signature-path predictor "
-            "without the perceptron filter";
-    d.build = [](const SpecOptions &) -> std::unique_ptr<Prefetcher> {
-        SppParams cfg;
-        cfg.enablePpf = false;
-        return std::make_unique<SppPpfPrefetcher>(cfg);
     };
     return d;
 }

@@ -45,7 +45,6 @@ struct SppParams
     double pfThreshold = 0.25;    ///< minimum path conf to prefetch
     uint32_t maxDepth = 8;
 
-    bool enablePpf = true;
     int32_t ppfThreshold = 0;       ///< accept when sum >= threshold
     int32_t ppfWeightMax = 31;      ///< 6-bit signed weights
     uint32_t ppfTableSize = 128;    ///< entries per feature table

@@ -139,8 +139,6 @@ Cache::sendRequest(const Request &req)
         pushAligned(prefetchQ, req);
         gate.requestWake(now());
         return true;
-      case AccessType::Translation:
-        break;
     }
     GAZE_PANIC("unroutable request type");
 }

@@ -144,7 +144,7 @@ const SpecRow kSpecRows[] = {
     // Accepted by every front end.
     {R"({"name":"c1","prefetchers":["gaze"],"workloads":["mcf"]})",
      nullptr},
-    {R"({"name":"c2","prefetchers":["none","bingo:region=4096"],)"
+    {R"({"name":"c2","prefetchers":["none","gaze:region=2048"],)"
      R"("suites":["spec06","gap"],"levels":["l1","l2"],)"
      R"("cores":[1,4],"warmup":1000,"sim":5000})",
      nullptr},
@@ -186,9 +186,9 @@ const SpecRow kSpecRows[] = {
     {R"({"name":"x","prefetchers":["gaze:typo=1"]})",
      "prefetcher 'gaze': unknown option 'typo' in spec 'gaze:typo=1' "
      "(options: region, n,"},
-    {R"({"name":"x","prefetchers":["bingo:region=3000"]})",
-     "prefetcher 'bingo': option 'region' must be a power of two in "
-     "spec 'bingo:region=3000', got 3000"},
+    {R"({"name":"x","prefetchers":["gaze:region=3000"]})",
+     "prefetcher 'gaze': option 'region' must be a power of two in "
+     "spec 'gaze:region=3000', got 3000"},
     {R"({"name":"x","prefetchers":["sms:scheme=psychic"]})",
      "prefetcher 'sms': unknown value 'psychic' for option 'scheme' in "
      "spec 'sms:scheme=psychic' (one of: offset, pc, pc+offset, "

@@ -297,17 +297,6 @@ TEST_F(GazeStreamingTest, BackupStrideFiresAfterPhtMiss)
     EXPECT_EQ(offs, (std::vector<Addr>{25, 28, 31, 34}));
 }
 
-TEST_F(GazeStreamingTest, BackupDisabledByConfig)
-{
-    GazeConfig cfg;
-    cfg.enableBackupStride = false;
-    build(cfg);
-    touch(0x200000, {10, 13, 16});
-    EXPECT_EQ(pf->counters().stridePromotions, 0u);
-    drain(*pf);
-    EXPECT_TRUE(pf->issued.empty());
-}
-
 // ----------------------------------------------------------- deactivation
 
 TEST_F(GazeTest, EvictionOfDemandedBlockEndsGeneration)
@@ -389,17 +378,6 @@ TEST_F(GazeTest, RegionSize2KHasThirtyTwoOffsets)
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], 12u);
     (void)offs;
-}
-
-TEST_F(GazeTest, LooseMatchingUsesApproxLookup)
-{
-    GazeConfig cfg;
-    cfg.strictMatch = false;
-    build(cfg);
-    generation(0x100000, {5, 9, 12});
-    touch(0x200000, {5, 21}); // wrong second: approx still predicts
-    drain(*pf);
-    EXPECT_EQ(issuedOffsets(0x200000), (std::vector<Addr>{9, 12}));
 }
 
 TEST_F(GazeTest, StreamingRegionsOnlyIgnoresNormalPatterns)

@@ -102,7 +102,7 @@ TEST_P(SchemeSweep, StorageIsBoundedAndNonzero)
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, SchemeSweep,
-    ::testing::Values("ip_stride", "spp_ppf", "spp", "ipcp", "vberti",
+    ::testing::Values("ip_stride", "spp_ppf", "ipcp", "vberti",
                       "vberti:oracle", "sms", "sms:scheme=offset",
                       "sms:scheme=pc", "sms:scheme=pc+addr", "bingo",
                       "dspatch", "pmp", "gaze", "gaze:n=1", "gaze:n=3",

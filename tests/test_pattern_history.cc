@@ -84,34 +84,6 @@ TEST(PatternHistoryTable, StrictMissOnUnseenEvent)
     EXPECT_EQ(pht.lookup(event({6, 9})), nullptr);
 }
 
-TEST(PatternHistoryTable, ApproxFallsBackToTriggerMatch)
-{
-    GazeConfig cfg;
-    PatternHistoryTable pht(cfg);
-    pht.learn(event({5, 9}), footprint({5, 9, 13}));
-    // Approx lookup with matching trigger but different second finds
-    // *some* pattern from the set (the strictMatch=false ablation).
-    const Bitset *fp = pht.lookupApprox(event({5, 21}));
-    ASSERT_NE(fp, nullptr);
-    EXPECT_TRUE(fp->test(13));
-}
-
-TEST(PatternHistoryTable, ApproxPicksHighestWayNotMostRecent)
-{
-    GazeConfig cfg;
-    PatternHistoryTable pht(cfg);
-    // Two patterns in trigger 5's set fill ways 0 and 1; touching the
-    // way-0 pattern makes it the most recent, but the fallback still
-    // returns the way-1 pattern.
-    pht.learn(event({5, 9}), footprint({5, 9, 13}));
-    pht.learn(event({5, 11}), footprint({5, 11, 40}));
-    ASSERT_NE(pht.lookup(event({5, 9})), nullptr);
-    const Bitset *fp = pht.lookupApprox(event({5, 21}));
-    ASSERT_NE(fp, nullptr);
-    EXPECT_TRUE(fp->test(40));
-    EXPECT_FALSE(fp->test(13));
-}
-
 TEST(PatternHistoryTable, RelearnOverwrites)
 {
     GazeConfig cfg;

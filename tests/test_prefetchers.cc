@@ -408,7 +408,6 @@ TEST(Ipcp, GlobalStreamClassAfterDenseRegion)
 TEST(Spp, LearnsDeltaPathAndPrefetchesAlongIt)
 {
     SppParams params;
-    params.enablePpf = false;
     CapturingPrefetcher<SppPpfPrefetcher> pf(params);
     pf.attachBare();
     // Constant delta +3 within a page, repeated across pages so the
@@ -429,7 +428,6 @@ TEST(Spp, LearnsDeltaPathAndPrefetchesAlongIt)
 TEST(Spp, LookaheadDepthBounded)
 {
     SppParams params;
-    params.enablePpf = false;
     params.maxDepth = 2;
     CapturingPrefetcher<SppPpfPrefetcher> pf(params);
     pf.attachBare();

@@ -125,7 +125,7 @@ TEST(System, L2AttachedPrefetcherOperates)
     sys.setTrace(0, &t);
     // No L1 prefetcher: the L2 sees the full L1 miss stream (one
     // sequential block per 8 element accesses) and trains on it.
-    sys.setL2Prefetcher(0, makePrefetcher("spp"));
+    sys.setL2Prefetcher(0, makePrefetcher("spp_ppf"));
     sys.run(40000);
     EXPECT_GT(sys.l2(0).stats().pfIssued, 0u);
 }
